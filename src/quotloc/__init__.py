@@ -54,12 +54,13 @@ from .points import (
     retry_points,
     seeded_point,
 )
-from .ratfun import UnivarRatFun, ZeroDenominator
 from .rational import rat_str, rational
 from .series import (
     QSeries,
     binom_series,
-    cy_vanishing_certificate,
+    cy_first_order,
+    cy_first_order_closed,
+    cy_order,
     euler_char_series,
     plethystic_exp,
     z_closed,

@@ -449,53 +449,6 @@ class FactoredForm:
                 value = value * f if c == 1 else value * f**c
         return RAT_ZERO if hit_zero else value
 
-    def eval_univar(self, free_var, rest_point):
-        """Specialize all variables but ``free_var``; return a canonical
-        univariate rational function in the free variable.
-
-        Raises :class:`~quotloc.ratfun.ZeroDenominator` when a denominator
-        factor specializes to the zero polynomial.
-        """
-        from .ratfun import UnivarRatFun, ZeroDenominator
-
-        if self._zero:
-            return UnivarRatFun.zero()
-        num = [RAT_ONE]
-        den = [RAT_ONE]
-        x_shift = 0  # net power of x multiplying the numerator
-        for m, c in self._factors.items():
-            d = m.exponent(free_var)
-            rest = m.restrict(lambda v: v != free_var)
-            coeff = rest_point.monomial_value(rest)
-            if d == 0:
-                f = 1 - coeff
-                if not f:
-                    if c < 0:
-                        raise ZeroDenominator(
-                            f"factor 1 - {m!r} specializes to the zero polynomial"
-                        )
-                    num = [RAT_ZERO]
-                    continue
-                scale = f if c == 1 else f**c
-                num = [w * scale for w in num]
-                continue
-            # 1 - coeff*x^d  ==  (x^|d| - coeff)/x^|d| for d < 0
-            if d > 0:
-                poly = [RAT_ONE] + [RAT_ZERO] * (d - 1) + [-coeff]
-            else:
-                poly = [-coeff] + [RAT_ZERO] * (-d - 1) + [RAT_ONE]
-                x_shift -= -d * c
-            burst = _poly_pow(poly, abs(c))
-            if c > 0:
-                num = _poly_mul(num, burst)
-            else:
-                den = _poly_mul(den, burst)
-        if x_shift > 0:
-            num = [RAT_ZERO] * x_shift + num
-        elif x_shift < 0:
-            den = [RAT_ZERO] * (-x_shift) + den
-        return UnivarRatFun(num, den)
-
     def __repr__(self) -> str:
         if self._zero:
             return "0"
@@ -506,24 +459,6 @@ class FactoredForm:
             base = f"(1 - {m!r})"
             bits.append(base if c == 1 else f"{base}^{c}")
         return "*".join(bits)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [RAT_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(p: list, k: int) -> list:
-    out = [RAT_ONE]
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
 
 
 def k_euler(character: Character) -> FactoredForm:

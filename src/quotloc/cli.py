@@ -8,9 +8,9 @@ Two subcommands::
 Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
 byte-identical across runs with the same configuration (wall time goes to
-stderr).  Exit codes: 0 pass, 1 suite failure, 2 usage error, 3 evaluation
-exhausted its point budget.  The environment variable ``ORIGAMI_THREADS``
-caps the worker count used for coefficient evaluation.
+stderr).  Exit codes: 0 pass, 1 suite failure, 2 usage error (including a
+configuration under which the suite makes no checks), 3 evaluation
+exhausted its point budget, 4 the report could not be written.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ EXIT_PASS = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_IO = 4
+
+
+class NoChecks(ValueError):
+    """The configuration leaves the suite nothing to check."""
 
 
 @dataclass
@@ -181,6 +186,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     """Run one named suite and report pass/fail with counterexamples."""
     suite_fn = CLI_SUITES[cfg.suite]
     report: SuiteReport = suite_fn(**_suite_kwargs(cfg))
+    if not report.checks:
+        raise NoChecks(f"suite {cfg.suite} made no checks")
     tree = [
         ("command", "verify"),
         ("suite", cfg.suite),
@@ -272,9 +279,16 @@ def main(argv=None) -> int:
     except PointExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except NoChecks as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     else:
         sys.stdout.write(text)
     elapsed = time.monotonic() - started

@@ -20,10 +20,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .chars import Character, FactoredForm, Monomial, k_euler, t_var, w_var
-from .parallel import parallel_map
 from .points import EvalContext
-from .rational import ZERO as RAT_ZERO
-from .series import QSeries
+from .series import QSeries, eval_forms
 from .vertex import MovabilityViolation, Ranks
 
 
@@ -174,15 +172,7 @@ def oracle_forms(ranks: Ranks, order: int) -> list:
     ]
 
 
-def _eval_chunk(args):
-    forms, point = args
-    return [f.eval_point(point) for f in forms]
-
-
 def z_oracle(ranks: Ranks, ctx: EvalContext) -> QSeries:
     """The partition function recomputed on the plane Quot scheme; must
     agree coefficientwise with the intersecting-lines localization."""
-    chunks = parallel_map(
-        _eval_chunk, [(fs, ctx.point) for fs in oracle_forms(ranks, ctx.order)]
-    )
-    return QSeries(sum(values, start=RAT_ZERO) for values in chunks)
+    return eval_forms(oracle_forms(ranks, ctx.order), ctx.point)

@@ -13,6 +13,9 @@ import math
 from typing import Callable, Iterable
 
 from .chars import (
+    T1,
+    T2,
+    FactoredForm,
     Monomial,
     coh_euler,
     k_euler,
@@ -20,10 +23,8 @@ from .chars import (
     t_var,
     u_var,
 )
-from .parallel import parallel_map
-from .points import EvalContext, PointAssignment, rational_stream
+from .points import EvalContext, PointAssignment
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO, rational
-from .ratfun import UnivarRatFun, ZeroDenominator
 from .vertex import Ranks, contribution, fixed_points, vertex_term
 
 
@@ -171,15 +172,11 @@ def localized_forms(ranks: Ranks, order: int) -> list:
     ]
 
 
-def _eval_form_chunk(args):
-    forms, point = args
-    return [f.eval_point(point) for f in forms]
-
-
 def eval_forms(forms: list, point: PointAssignment) -> QSeries:
     """Evaluate per-degree form lists at one point and sum each degree."""
-    chunks = parallel_map(_eval_form_chunk, [(fs, point) for fs in forms])
-    return QSeries(sum(values, start=RAT_ZERO) for values in chunks)
+    return QSeries(
+        sum((f.eval_point(point) for f in fs), start=RAT_ZERO) for fs in forms
+    )
 
 
 def z_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
@@ -193,13 +190,18 @@ def z_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
     ``q (1 - t1 t2)(1 - t1^r1 t2^r2) / ((1 - t1)(1 - t2))``."""
     t1 = ctx.point.value(t_var(1))
     t2 = ctx.point.value(t_var(2))
-    r1, r2 = ranks.r1, ranks.r2
 
     def f(k: int):
         a, b = t1**k, t2**k
-        return (1 - a * b) * (1 - a**r1 * b**r2) / ((1 - a) * (1 - b))
+        return (1 - a * b) * closed_g(ranks, a, b)
 
     return plethystic_exp(f, ctx)
+
+
+def closed_g(ranks: Ranks, a, b):
+    """The single-box term without its ``(1 - t1 t2)`` factor,
+    ``G = (1 - a^r1 b^r2) / ((1 - a)(1 - b))`` at ``t1 = a``, ``t2 = b``."""
+    return (1 - a**ranks.r1 * b**ranks.r2) / ((1 - a) * (1 - b))
 
 
 def z_rank1_product(ctx: EvalContext) -> QSeries:
@@ -316,39 +318,55 @@ def euler_char_series(ranks: Ranks, order: int) -> QSeries:
     return QSeries(rational(math.comb(n + r - 1, r - 1)) for n in range(order + 1))
 
 
-def cy_vanishing_certificate(ranks: Ranks, n: int, seed: int) -> UnivarRatFun:
-    """Exact vanishing certificate on the ``t1 t2 = 1`` locus.
+def diagonal_power(m: Monomial) -> int:
+    """``k`` when ``m = (t1 t2)^k``, else 0.
 
-    All variables except ``t1`` are specialized to seeded rationals and the
-    degree-``n`` coefficient is summed as a canonical univariate rational
-    function of ``t1``.  For ``n > 0`` the result vanishes at ``t1 = 1/t2``
-    and ``1/t2`` is not a pole of the canonical form.
+    ``1 - m`` vanishes on the divisor ``D = {t1 t2 = 1}`` exactly when
+    ``k != 0``; the zero is simple and ``(1 - m) / (1 - t1 t2) = k`` on ``D``.
     """
-    _, certificate = cy_certificate_with_point(ranks, n, seed)
-    return certificate
+    k = m.exponent(T1)
+    return k if m.exponents() == ((T1, k), (T2, k)) else 0
 
 
-def cy_certificate_with_point(ranks: Ranks, n: int, seed: int):
-    """The certificate together with the rest-point it was computed at."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    free = t_var(1)
-    rest_vars = (t_var(2),) + ranks.w_vars()
-    forms = [contribution(bn) for bn in fixed_points(ranks, n)]
-    stream = rational_stream(seed)
+def cy_order(form: FactoredForm) -> int:
+    """Vanishing order ``ord_D`` of a fixed-point weight along ``t1 t2 = 1``.
 
-    def compute(point):
-        total = UnivarRatFun.zero()
-        for form in forms:
-            total = total + form.eval_univar(free, point)
-        return total
+    Every factor ``1 - m`` with ``m`` not a power of ``t1 t2`` restricts to a
+    nonzero function on ``D``, so only the diagonal factors count.  Weights
+    of fixed points are never the zero form (movability).
+    """
+    return sum(c for m, c in form.factors() if diagonal_power(m))
 
-    from .points import MAX_POINT_ATTEMPTS, PointExhausted, draw_point
 
-    for _ in range(MAX_POINT_ATTEMPTS):
-        point = draw_point(rest_vars, stream)
-        try:
-            return point, compute(point)
-        except ZeroDenominator:
+def cy_first_order(forms: list, rest_point: PointAssignment):
+    """The first-order term of a coefficient along ``D``: the sum over the
+    weights ``W`` with ``ord_D(W) = 1`` of ``W / (1 - t1 t2)`` restricted to
+    ``D``, at the rest point ``(t2, w)`` with ``t1 := 1/t2``.
+
+    Raises :class:`~quotloc.chars.PoleAtPoint` when a non-diagonal
+    denominator factor vanishes there.
+    """
+    point = rest_point.with_values({T1: 1 / rest_point.value(T2)})
+    total = RAT_ZERO
+    for form in forms:
+        if cy_order(form) != 1:
             continue
-    raise PointExhausted("no usable rest-point for the vanishing certificate")
+        scale = RAT_ONE
+        rest = []
+        for m, c in form.factors():
+            k = diagonal_power(m)
+            if k:
+                scale = scale * rational(k) ** c
+            else:
+                rest.append((m, c))
+        total = total + scale * FactoredForm(rest).eval_point(point)
+    return total
+
+
+def cy_first_order_closed(ranks: Ranks, n: int, rest_point: PointAssignment):
+    """The closed form's first-order term of ``q^n`` along ``D``:
+    ``G(t1^n, t2^n)`` at ``t1 = 1/t2``, since the plethystic logarithm is
+    ``sum_k q^k (1 - (t1 t2)^k) G(t1^k, t2^k) / k`` and
+    ``1 - x^k = k (1 - x) + O((1 - x)^2)``."""
+    t2 = rest_point.value(T2)
+    return closed_g(ranks, (1 / t2) ** n, t2**n)

@@ -85,7 +85,8 @@ def test_criterion_08_euler_characteristics():
 
 
 def test_criterion_09_cy_vanishing():
-    """Certificates vanish at t1 = 1/t2, rank <= 3, sizes 1..5, 3 seeds."""
+    """Every weight vanishes along t1 t2 = 1 and the first-order terms match
+    the closed form, rank <= 3, sizes 1..5, 3 rest points."""
     _timed(9, "cy-vanishing", lambda: suite_cy_vanishing(max_len=5, num_seeds=3))
 
 

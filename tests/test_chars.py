@@ -25,7 +25,6 @@ from quotloc.chars import (
 )
 from quotloc.points import PointAssignment
 from quotloc.rational import rational
-from quotloc.ratfun import UnivarRatFun, ZeroDenominator
 
 from strategies import characters, monomials, nonzero_rationals
 
@@ -161,57 +160,6 @@ class TestEvalPoint:
             return
         if forward and backward:
             assert forward * backward == 1
-
-
-class TestEvalUnivar:
-    def test_linear_factor(self):
-        f = FactoredForm([(t1 * t2, 1)])
-        p = PointAssignment({T2: rational(3)})
-        assert f.eval_univar(T1, p) == UnivarRatFun([1, -3])
-
-    def test_gcd_cancellation_to_constant(self):
-        # (1 - t1 t2)(1 - t1)^-1 with t2 = 1 collapses to (1-x)/(1-x) = 1
-        f = FactoredForm([(t1 * t2, 1), (t1, -1)])
-        p = PointAssignment({T2: rational(1)})
-        assert f.eval_univar(T1, p) == UnivarRatFun.one()
-
-    def test_vertex_contribution(self):
-        # e(-T) for the length-1 point of rank (1,0): (1-3x)/(-2) at t2=3
-        f = FactoredForm([(t1 * t2, 1), (t2, -1)])
-        p = PointAssignment({T2: rational(3)})
-        got = f.eval_univar(T1, p)
-        assert got == UnivarRatFun([rational(-1, 2), rational(3, 2)])
-
-    def test_zero_denominator(self):
-        f = FactoredForm([(t2, -1)])
-        with pytest.raises(ZeroDenominator):
-            f.eval_univar(T1, PointAssignment({T2: rational(1)}))
-
-    def test_negative_free_exponent(self):
-        # 1 - 3/x  ==  (x - 3)/x
-        f = FactoredForm([(t1.inverse() * t2, 1)])
-        p = PointAssignment({T2: rational(3)})
-        assert f.eval_univar(T1, p) == UnivarRatFun([-3, 1], [0, 1])
-
-    @given(characters(allow_trivial=False), nonzero_rationals())
-    @settings(max_examples=40)
-    def test_agrees_with_eval_point(self, c, x):
-        form = k_euler(c)
-        variables = {v for m, _ in form.factors() for v in m.variables()}
-        rest = PointAssignment(
-            {v: rational(i + 2, 3) for i, v in enumerate(sorted(variables - {T1}))}
-        )
-        try:
-            fun = form.eval_univar(T1, rest)
-        except ZeroDenominator:
-            return
-        full = rest.with_values({T1: x})
-        try:
-            direct = form.eval_point(full)
-        except PoleAtPoint:
-            return
-        if not fun.is_pole(x):
-            assert fun(x) == direct
 
 
 class TestHalfWeights:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from quotloc.chars import T1, T2
-from quotloc.cli import EXIT_PASS, EXIT_SUITE_FAILURE, EXIT_USAGE, main
+from quotloc.cli import EXIT_IO, EXIT_PASS, EXIT_SUITE_FAILURE, EXIT_USAGE, main
 from quotloc.points import seeded_point
 from quotloc.rational import rat_str
 
@@ -50,6 +50,13 @@ class TestCompute:
         assert main(args + ["--out", str(second)]) == EXIT_PASS
         assert first.read_bytes() == second.read_bytes()
 
+    def test_unwritable_out_exits_io(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(["compute", "--order", "1", "--out", str(target)], capsys)
+        assert code == EXIT_IO
+        assert out == "" and err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+
 
 class TestVerify:
     def test_pass_report(self, capsys):
@@ -91,6 +98,16 @@ class TestVerify:
             main(["verify", "smooth-chi-y", "--r1", "1", "--r2", "0"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args",
+        [["cy-vanishing", "--order", "0"], ["framing", "--num-points", "1"]],
+    )
+    def test_zero_checks_exit_usage(self, args, capsys):
+        code, out, err = run_cli(["verify"] + args, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "made no checks" in err
+
     def test_failure_exit_code_and_counterexample(self, capsys, monkeypatch):
         from quotloc import cli
         from quotloc.suites import SuiteReport
@@ -129,14 +146,3 @@ class TestSubprocessEntry:
         assert proc.returncode == EXIT_PASS
         assert "status: pass" in proc.stdout
 
-    def test_thread_cap_does_not_change_report(self):
-        import os
-
-        env = dict(os.environ)
-        args = [sys.executable, "-m", "quotloc.cli", "compute", "--r1", "1",
-                "--r2", "1", "--order", "3", "--seed", "5"]
-        base = subprocess.run(args, capture_output=True, text=True, env=env)
-        env["ORIGAMI_THREADS"] = "2"
-        capped = subprocess.run(args, capture_output=True, text=True, env=env)
-        assert base.returncode == capped.returncode == EXIT_PASS
-        assert base.stdout == capped.stdout

@@ -87,29 +87,3 @@ def test_eval_context():
     assert ctx.order == 3
     assert ctx.point.value(T1) == seeded_point([T1, T2], 4).value(T1)
 
-
-def test_worker_count_env(monkeypatch):
-    from quotloc.parallel import worker_count
-
-    monkeypatch.delenv("ORIGAMI_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("ORIGAMI_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("ORIGAMI_THREADS", "not-a-number")
-    assert worker_count() == 1
-
-
-def test_parallel_map_matches_serial(monkeypatch):
-    from quotloc import parallel
-    from quotloc.series import _eval_form_chunk, localized_forms
-    from quotloc.vertex import Ranks
-
-    ranks = Ranks(1, 1)
-    forms = localized_forms(ranks, 3)
-    point = seeded_point(ranks.variables(), 8)
-    jobs = [(fs, point) for fs in forms]
-    monkeypatch.delenv("ORIGAMI_THREADS", raising=False)
-    serial = parallel.parallel_map(_eval_form_chunk, jobs)
-    monkeypatch.setenv("ORIGAMI_THREADS", "2")
-    parallel_run = parallel.parallel_map(_eval_form_chunk, jobs)
-    assert serial == parallel_run

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotloc.chars import T1, T2, u_var
+from quotloc.chars import FactoredForm, Monomial, T1, T2, u_var
 from quotloc.points import EvalContext, PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
     QSeries,
     binom_series,
     coh_variables,
-    cy_certificate_with_point,
-    cy_vanishing_certificate,
+    cy_first_order,
+    cy_first_order_closed,
+    cy_order,
     euler_char_series,
     eval_forms,
     localized_forms,
@@ -28,7 +29,8 @@ from quotloc.series import (
     zhat_closed,
     zhat_localized,
 )
-from quotloc.vertex import Ranks, fixed_points
+from quotloc.suites import ranks_up_to
+from quotloc.vertex import Ranks, contribution, fixed_points
 
 from strategies import nonzero_rationals
 
@@ -225,34 +227,48 @@ class TestEulerCharSeries:
         )
 
 
+def weights(ranks, n):
+    return [contribution(bn) for bn in fixed_points(ranks, n)]
+
+
+def first_order_sides(ranks, n, seed):
+    rest = seeded_point((T2,) + ranks.w_vars(), seed)
+    return cy_first_order(weights(ranks, n), rest), cy_first_order_closed(ranks, n, rest)
+
+
 class TestCyVanishing:
     def test_rank11_certificate(self):
-        point, certificate = cy_certificate_with_point(Ranks(1, 1), 1, 13)
-        at = 1 / point.value(T2)
-        assert not certificate.is_pole(at)
-        assert certificate(at) == 0
+        localized, closed = first_order_sides(Ranks(1, 1), 1, 13)
+        assert localized == closed
 
     def test_degree_zero_is_one(self):
-        from quotloc.ratfun import UnivarRatFun
+        for ranks in ranks_up_to(3):
+            (weight,) = weights(ranks, 0)
+            assert weight == FactoredForm.one() and cy_order(weight) == 0
 
-        assert cy_vanishing_certificate(Ranks(1, 1), 0, 3) == UnivarRatFun.one()
+    def test_positive_degrees_vanish_on_locus(self):
+        for ranks in ranks_up_to(3):
+            for n in range(1, 6):
+                assert min(cy_order(w) for w in weights(ranks, n)) >= 1, (ranks, n)
 
     @pytest.mark.parametrize("r1,r2", [(2, 1), (1, 2), (3, 0)])
     def test_higher_rank(self, r1, r2):
-        point, certificate = cy_certificate_with_point(Ranks(r1, r2), 2, 5)
-        at = 1 / point.value(T2)
-        assert not certificate.is_pole(at)
-        assert certificate(at) == 0
+        localized, closed = first_order_sides(Ranks(r1, r2), 2, 5)
+        assert localized == closed
 
-    def test_certificate_matches_closed_form_away_from_locus(self):
-        """The certificate is the genuine coefficient: at a fresh rational
-        value of t1 it must agree with the closed-form coefficient."""
-        ranks, n, seed = Ranks(1, 1), 2, 21
-        point, certificate = cy_certificate_with_point(ranks, n, seed)
-        x = rational(13, 2)
-        full = point.with_values({T1: x})
-        closed = z_closed(ranks, EvalContext(full, seed, n))
-        assert certificate(x) == closed.coefficient(n)
+    def test_first_order_hand_value(self):
+        """Rank (1,0), n = 1: the weight ``(1 - t1 t2)/(1 - t2)`` leaves
+        ``1/(1 - t2)`` on the locus, and so does ``G(t1, t2)``."""
+        t2 = seeded_point((T2,), 21).value(T2)
+        assert first_order_sides(Ranks(1, 0), 1, 21) == (1 / (1 - t2),) * 2
+
+    def test_diagonal_factor_counts_its_power(self):
+        """``(1 - (t1 t2)^-2)^2 / (1 - t1 t2)`` has order 1 and leaves
+        ``(-2)^2 = 4`` on the locus."""
+        x = Monomial([(T1, 1), (T2, 1)])
+        form = FactoredForm([(x**-2, 2), (x, -1)])
+        assert cy_order(form) == 1
+        assert cy_first_order([form], seeded_point((T2,), 3)) == 4
 
 
 class TestEvalFormsPlumbing:

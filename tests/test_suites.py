@@ -1,13 +1,17 @@
 """Suite plumbing: reports, counterexample strings and rank grids."""
 
+from quotloc import suites
+from quotloc.chars import Character, Monomial, T1
 from quotloc.points import PointAssignment
 from quotloc.rational import rational
 from quotloc.series import QSeries
 from quotloc.suites import (
     SuiteReport,
+    _limits_numeric_convergence,
     _series_check,
     ranks_up_to,
     suite_closed_form,
+    suite_cy_vanishing,
     suite_framing,
     suite_oracle,
 )
@@ -56,3 +60,34 @@ def test_suites_are_deterministic():
     a = suite_closed_form(ranks_list=(Ranks(2, 1),), order=3, num_points=2, seed=9)
     b = suite_closed_form(ranks_list=(Ranks(2, 1),), order=3, num_points=2, seed=9)
     assert (a.checks, a.failures) == (b.checks, b.failures)
+
+
+def test_cy_vanishing_fails_on_perturbed_closed_side(monkeypatch):
+    closed = suites.cy_first_order_closed
+    monkeypatch.setattr(
+        suites,
+        "cy_first_order_closed",
+        lambda ranks, n, point: closed(Ranks(ranks.r1 + 1, ranks.r2), n, point),
+    )
+    report = suite_cy_vanishing(ranks_list=(Ranks(1, 0), Ranks(2, 1)), max_len=2, num_seeds=2)
+    assert report.checks == 8 and len(report.failures) == 8
+    assert "first-order term" in report.failures[0]
+
+
+def test_cy_vanishing_reports_nonvanishing_weight(monkeypatch):
+    """A weight of order 0 fails every check of its degree, naming the
+    fixed point and its order."""
+    monkeypatch.setattr(suites, "cy_order", lambda form: 0)
+    report = suite_cy_vanishing(ranks_list=(Ranks(1, 1),), max_len=1, num_seeds=3)
+    assert report.checks == 3 and len(report.failures) == 3
+    assert "has order 0" in report.failures[0]
+
+
+def test_limits_convergence_is_strict(monkeypatch):
+    """A block constant in the framing variables has both gaps 0: that is
+    no convergence and must fail."""
+    monkeypatch.setattr(
+        suites, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
+    )
+    report = _limits_numeric_convergence(SuiteReport("limits"), Ranks(2, 2), 1)
+    assert report.checks == 6 and len(report.failures) == 6
