@@ -8,6 +8,7 @@ Exits nonzero if any suite fails.
 """
 
 import argparse
+import inspect
 import time
 
 from quotloc.suites import CLI_SUITES
@@ -21,7 +22,8 @@ def main():
     failed = 0
     for name, suite in CLI_SUITES.items():
         start = time.monotonic()
-        kwargs = {} if name in ("euler-count", "smooth-chi-y") else {"seed": args.seed}
+        takes_seed = "seed" in inspect.signature(suite).parameters
+        kwargs = {"seed": args.seed} if takes_seed else {}
         report = suite(**kwargs)
         elapsed = time.monotonic() - start
         status = "pass" if report.passed else "FAIL"

@@ -34,7 +34,6 @@ from .limits import (
     LimitValue,
     SpeedOrder,
     framing_limit,
-    l_degree,
     z_via_limits,
 )
 from .oracle import (
@@ -56,6 +55,7 @@ from .points import (
 )
 from .rational import rat_str, rational
 from .series import (
+    BlockTable,
     QSeries,
     binom_series,
     cy_first_order,

@@ -15,7 +15,7 @@ forms is syntactic equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO
 
@@ -137,9 +137,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (Monomial, (self._exps,))
 
     def __repr__(self) -> str:
         if not self._exps:
@@ -285,9 +282,6 @@ class Character:
 
     __hash__ = None
 
-    def __reduce__(self):
-        return (Character, (tuple(self._terms.items()),))
-
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
@@ -378,9 +372,6 @@ class FactoredForm:
     def factors(self):
         return self._factors.items()
 
-    def multiplicity(self, m: Monomial) -> int:
-        return self._factors.get(m, 0)
-
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if not isinstance(other, FactoredForm):
             return NotImplemented
@@ -406,16 +397,6 @@ class FactoredForm:
         out._zero = False
         return out
 
-    def __pow__(self, k: int) -> "FactoredForm":
-        if self._zero:
-            if k <= 0:
-                raise ZeroDivisionError("the zero factored form has no inverse")
-            return self
-        out = FactoredForm.__new__(FactoredForm)
-        out._factors = {m: c * k for m, c in self._factors.items()} if k else {}
-        out._zero = False
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FactoredForm)
@@ -424,9 +405,6 @@ class FactoredForm:
         )
 
     __hash__ = None
-
-    def __reduce__(self):
-        return (FactoredForm, (tuple(self._factors.items()), self._zero))
 
     def eval_point(self, point):
         """Exact value ``prod (1 - m(p))^c`` at a point assignment.
@@ -566,10 +544,6 @@ class LinearFormProduct:
                 del data[form]
         self._factors = data
 
-    @classmethod
-    def one(cls) -> "LinearFormProduct":
-        return cls()
-
     def factors(self):
         return self._factors.items()
 
@@ -585,11 +559,6 @@ class LinearFormProduct:
                 del data[f]
         out = LinearFormProduct.__new__(LinearFormProduct)
         out._factors = data
-        return out
-
-    def inverse(self) -> "LinearFormProduct":
-        out = LinearFormProduct.__new__(LinearFormProduct)
-        out._factors = {f: -c for f, c in self._factors.items()}
         return out
 
     def __eq__(self, other) -> bool:

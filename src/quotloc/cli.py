@@ -16,6 +16,7 @@ exhausted its point budget, 4 the report could not be written.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from dataclasses import dataclass
@@ -127,58 +128,33 @@ def cmd_compute(cfg: RunConfig) -> tuple[str, int]:
     return render_report(tree), EXIT_PASS
 
 
+# The keyword names each suite gives to --r1/--r2, --order and --num-points;
+# ``ranks_list`` and ``det_ranks`` take a one-pair tuple.
+SUITE_KEYWORDS = {
+    "closed-form": ("ranks_list", "order", "num_points"),
+    "framing": ("ranks", "order", "num_assignments"),
+    "factorization": ("ranks_list", "order", "num_points"),
+    "limits": ("ranks", "max_len", ""),
+    "oracle": ("ranks_list", "order", "num_points"),
+    "cohomological": ("ranks_list", "order", "num_points"),
+    "no-twist": ("det_ranks ranks_list", "order det_len", "num_points"),
+    "cy-vanishing": ("ranks_list", "max_len", "num_seeds"),
+    "euler-count": ("ranks_list", "max_len", ""),
+    "smooth-chi-y": ("ranks_list", "max_len", ""),
+}
+
+
 def _suite_kwargs(cfg: RunConfig) -> dict:
     """Translate the flat CLI configuration into suite keyword arguments."""
-    name = cfg.suite
     ranks = cfg.ranks()
-    kw: dict = {"seed": cfg.seed}
-    if name in ("closed-form", "factorization", "oracle", "cohomological"):
-        if ranks is not None:
-            kw["ranks_list"] = (ranks,)
-        if cfg.order is not None:
-            kw["order"] = cfg.order
-        if cfg.num_points is not None:
-            kw["num_points"] = cfg.num_points
-    elif name == "framing":
-        if ranks is not None:
-            kw["ranks"] = ranks
-        if cfg.order is not None:
-            kw["order"] = cfg.order
-        if cfg.num_points is not None:
-            kw["num_assignments"] = cfg.num_points
-    elif name == "limits":
-        if ranks is not None:
-            kw["ranks"] = ranks
-        if cfg.order is not None:
-            kw["max_len"] = cfg.order
-    elif name == "no-twist":
-        if ranks is not None:
-            kw["det_ranks"] = (ranks,)
-            kw["ranks_list"] = (ranks,)
-        if cfg.order is not None:
-            kw["order"] = cfg.order
-            kw["det_len"] = cfg.order
-        if cfg.num_points is not None:
-            kw["num_points"] = cfg.num_points
-    elif name == "cy-vanishing":
-        if ranks is not None:
-            kw["ranks_list"] = (ranks,)
-        if cfg.order is not None:
-            kw["max_len"] = cfg.order
-        if cfg.num_points is not None:
-            kw["num_seeds"] = cfg.num_points
-    elif name == "euler-count":
-        kw.pop("seed")
-        if ranks is not None:
-            kw["ranks_list"] = (ranks,)
-        if cfg.order is not None:
-            kw["max_len"] = cfg.order
-    elif name == "smooth-chi-y":
-        kw.pop("seed")
-        if ranks is not None:
-            kw["ranks_list"] = (ranks,)
-        if cfg.order is not None:
-            kw["max_len"] = cfg.order
+    kw: dict = {}
+    if "seed" in inspect.signature(CLI_SUITES[cfg.suite]).parameters:
+        kw["seed"] = cfg.seed
+    given = (ranks, cfg.order, cfg.num_points)
+    for names, value in zip(SUITE_KEYWORDS[cfg.suite], given):
+        for name in names.split():
+            if value is not None:
+                kw[name] = (value,) if name in ("ranks_list", "det_ranks") else value
     return kw
 
 
@@ -263,6 +239,8 @@ def _validate(parser, args) -> RunConfig:
         parser.error("num-points must be at least 1")
     if cfg.suite == "smooth-chi-y" and cfg.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
+    if cfg.suite == "limits" and cfg.ranks() is not None and cfg.ranks().total < 2:
+        parser.error("the limits suite needs two framing slots, r1 + r2 >= 2")
     return cfg
 
 

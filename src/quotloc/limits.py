@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 from .chars import FactoredForm, Monomial, k_euler
 from .points import EvalContext
-from .rational import ZERO as RAT_ZERO
-from .series import QSeries
-from .vertex import FixedPoint, Ranks, fixed_points, vertex_block
+from .series import BlockTable, QSeries, line_table
+from .vertex import FixedPoint, Ranks, vertex_block
 
 GROWING, NEUTRAL, DECAYING = 1, 0, -1
 
@@ -62,11 +61,6 @@ class SpeedOrder:
         return NEUTRAL
 
 
-def l_degree(m: Monomial, order: SpeedOrder) -> tuple:
-    """The speed-ordered framing exponent vector of a monomial."""
-    return order.degree(m)
-
-
 @dataclass(frozen=True)
 class LimitValue:
     """An exact framing limit: ``sign * monomial * prod (1 - m)^c`` with a
@@ -75,10 +69,6 @@ class LimitValue:
     sign: int
     monomial: Monomial
     factors: FactoredForm
-
-    @classmethod
-    def one(cls) -> "LimitValue":
-        return cls(1, Monomial.one(), FactoredForm.one())
 
     @classmethod
     def from_monomial(cls, m: Monomial) -> "LimitValue":
@@ -134,16 +124,10 @@ def block_limit(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> LimitV
     return framing_limit(k_euler(-block), SpeedOrder(bn.ranks))
 
 
-def limit_weight(bn: FixedPoint) -> LimitValue:
-    """Product of all block limits at a fixed point (pure ``t`` data)."""
-    slots = bn.ranks.slots()
-    order = SpeedOrder(bn.ranks)
-    total = LimitValue.one()
-    for i, alpha in slots:
-        for j, beta in slots:
-            form = k_euler(-vertex_block(bn, i, j, alpha, beta))
-            total = total * framing_limit(form, order)
-    return total
+def limit_table(ranks: Ranks, order: int) -> BlockTable:
+    """The block limits of ``ranks`` as a block table (pure ``t`` weights)."""
+    speed = SpeedOrder(ranks)
+    return line_table(ranks, order, lambda block: framing_limit(k_euler(-block), speed))
 
 
 def z_via_limits(ranks: Ranks, ctx: EvalContext) -> QSeries:
@@ -153,13 +137,7 @@ def z_via_limits(ranks: Ranks, ctx: EvalContext) -> QSeries:
     gone after the limit.  Agreement with the closed form re-derives the
     factorization into rank-one series.
     """
-    coeffs = []
-    for n in range(ctx.order + 1):
-        total = RAT_ZERO
-        for bn in fixed_points(ranks, n):
-            total = total + limit_weight(bn).eval_point(ctx.point)
-        coeffs.append(total)
-    return QSeries(coeffs)
+    return limit_table(ranks, ctx.order).coefficients(ctx.point)
 
 
 def crossing_shift_monomial(bn: FixedPoint) -> Monomial:

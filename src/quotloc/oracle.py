@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .chars import Character, FactoredForm, Monomial, k_euler, t_var, w_var
+from .chars import T1, T2, Character, FactoredForm, Monomial, k_euler, t_var, w_var
 from .points import EvalContext
-from .series import QSeries, eval_forms
+from .series import BlockTable, QSeries, eval_forms
 from .vertex import MovabilityViolation, Ranks
 
 
@@ -112,20 +112,29 @@ def partition_tuples(ranks: Ranks, n: int) -> list:
     return out
 
 
+def diagram_char(diagram: Partition) -> Character:
+    """Character of one Young diagram: ``sum_boxes t1^a t2^b``."""
+    return Character((Monomial([(T1, a), (T2, b)]), 1) for a, b in diagram.boxes())
+
+
 def plane_q_char(tup: PartitionTuple) -> Character:
     """Character of the quotient: ``sum_slots w * sum_boxes t1^a t2^b``."""
-    t1, t2 = t_var(1), t_var(2)
-    terms = []
-    for (i, alpha), diagram in zip(tup.ranks.slots(), tup.diagrams):
-        w = w_var(i, alpha)
-        for a, b in diagram.boxes():
-            terms.append((Monomial([(w, 1), (t1, a), (t2, b)]), 1))
-    return Character(terms)
+    return Character(
+        (m * Monomial.var(w_var(i, alpha)), 1)
+        for (i, alpha), diagram in zip(tup.ranks.slots(), tup.diagrams)
+        for m in diagram_char(diagram).monomials()
+    )
 
 
 def plane_framing_char(ranks: Ranks) -> Character:
     """The total framing character ``K = sum w(i, alpha)``."""
     return Character((Monomial.var(w_var(i, a)), 1) for i, a in ranks.slots())
+
+
+# E = t1^-1 + t2^-1 - 1 - t1^-1 t2^-1, the Q bar(Q) coefficient of the tangent
+ENVELOPE = Character(
+    (Monomial([(T1, a), (T2, b)]), c) for a, b, c in ((-1, 0, 1), (0, -1, 1), (0, 0, -1), (-1, -1, -1))
+)
 
 
 def plane_tvir(tup: PartitionTuple) -> Character:
@@ -135,12 +144,7 @@ def plane_tvir(tup: PartitionTuple) -> Character:
     if q.is_zero:
         return Character.zero()
     k = plane_framing_char(tup.ranks)
-    t1inv = Monomial.var(t_var(1), -1)
-    t2inv = Monomial.var(t_var(2), -1)
-    envelope = Character(
-        [(t1inv, 1), (t2inv, 1), (Monomial.one(), -1), (t1inv * t2inv, -1)]
-    )
-    term = k.bar() * q + envelope * (q * q.bar())
+    term = k.bar() * q + ENVELOPE * (q * q.bar())
     if term.trivial_coefficient():
         raise MovabilityViolation(f"trivial weight in plane tangent at {tup}")
     return term
@@ -164,12 +168,24 @@ def oracle_contribution(tup: PartitionTuple) -> FactoredForm:
     return k_euler(taut_char(tup)) * k_euler(-plane_tvir(tup))
 
 
-def oracle_forms(ranks: Ranks, order: int) -> list:
-    """Per-degree lists of oracle weights (point-independent)."""
-    return [
-        [oracle_contribution(tup) for tup in partition_tuples(ranks, n)]
-        for n in range(order + 1)
-    ]
+def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
+    """The oracle weights as a block table over Young diagrams.  Block
+    ``(a, b)`` is the pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w (Z_b + E
+    Z_b bar(Z_a)))`` with ``w = w_a^-1 w_b`` and ``i`` the line of slot ``a``;
+    ``None`` when the insertion is the zero class."""
+    slots = ranks.slots()
+
+    def block(a, b, lam_a, lam_b):
+        (i, alpha), (j, beta) = slots[a], slots[b]
+        w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
+        z_b = diagram_char(lam_b)
+        insertion = k_euler(z_b * (w * Monomial.var(t_var(i), -1)))
+        if insertion.is_zero:
+            return None
+        tangent = (z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())) * w
+        return insertion * k_euler(-tangent)
+
+    return BlockTable(len(slots), order, partitions, block)
 
 
 def z_oracle(ranks: Ranks, ctx: EvalContext) -> QSeries:

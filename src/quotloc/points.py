@@ -74,9 +74,6 @@ class PointAssignment:
             {v: (q * factor if v[0] == kind else q) for v, q in self._values.items()}
         )
 
-    def __reduce__(self):
-        return (PointAssignment, (self._values,))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{var_name(v)}={q}" for v, q in self.items())
         return f"point({inner})"

@@ -1,14 +1,14 @@
 """Exact rational scalar shared by every module.
 
-gmpy2's ``mpq`` is used when available (roughly an order of magnitude
-faster than ``fractions.Fraction`` on this workload); the stdlib Fraction
-is a drop-in fallback.  Both expose ``.numerator``/``.denominator`` and
-interoperate, so nothing downstream depends on which one is active.
+The stdlib ``fractions.Fraction`` is the default.  When gmpy2 is installed
+(the optional ``fast`` extra), its ``mpq`` is used instead as a faster
+drop-in.  Both expose ``.numerator``/``.denominator`` and interoperate, so
+nothing downstream depends on which one is active.
 """
 
 try:
     from gmpy2 import mpq as rational
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
+except ImportError:  # the default: gmpy2 is an optional extra
     from fractions import Fraction as rational
 
 ZERO = rational(0)

@@ -9,6 +9,7 @@ it holds coefficient by coefficient as exact rational identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable
 
@@ -17,6 +18,7 @@ from .chars import (
     T2,
     FactoredForm,
     Monomial,
+    PoleAtPoint,
     coh_euler,
     k_euler,
     substitute_halfweights,
@@ -25,7 +27,7 @@ from .chars import (
 )
 from .points import EvalContext, PointAssignment
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO, rational
-from .vertex import Ranks, contribution, fixed_points, vertex_term
+from .vertex import FixedPoint, Ranks, vertex_block
 
 
 class QSeries:
@@ -80,14 +82,6 @@ class QSeries:
                 out[i + j] = out[i + j] + a * b
         return QSeries(out)
 
-    def __pow__(self, k: int) -> "QSeries":
-        if k < 0:
-            raise ValueError("negative series powers are not needed")
-        out = QSeries.one(self.order)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def exp(self) -> "QSeries":
         """Series exponential; requires vanishing constant term.
 
@@ -114,11 +108,6 @@ class QSeries:
             out.append(c * power)
             power = power * factor
         return QSeries(out)
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self._coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QSeries) and all(
@@ -163,20 +152,100 @@ def binom_series(exponent, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def localized_forms(ranks: Ranks, order: int) -> list:
-    """Per-degree lists of localization weights, one factored form per
-    fixed point.  Point-independent: compute once, evaluate often."""
-    return [
-        [contribution(bn) for bn in fixed_points(ranks, n)]
-        for n in range(order + 1)
-    ]
+class BlockTable:
+    """A localized sum as a product of framing-pair blocks.
+
+    A fixed point puts one state on each of ``slots`` framing slots (a length
+    on the lines, a Young diagram on the plane; ``states(n)`` lists those of
+    size ``n``).  Its tangent character is the sum of its blocks and the
+    Euler operators are multiplicative, so its weight is the product over
+    ordered slot pairs of ``block(a, b, state_a, state_b)``, which is ``None``
+    for the zero class.  Block weights are built once per table.
+    """
+
+    def __init__(self, slots: int, order: int, states, block):
+        self.slots, self.order, self.states, self.block = slots, order, states, block
+        self.weights = {}
+
+    def weight(self, *key):
+        """The weight of block ``key = (a, b, s_a, s_b)``, or ``None``."""
+        if key not in self.weights:
+            self.weights[key] = self.block(*key)
+        return self.weights[key]
+
+    def fixed_point_weight(self, states: tuple):
+        """The merged weight of one fixed point, or ``None`` for the zero class."""
+        pairs = itertools.product(enumerate(states), repeat=2)
+        blocks = [self.weight(a, b, s_a, s_b) for (a, s_a), (b, s_b) in pairs]
+        return None if any(w is None for w in blocks) else math.prod(blocks[1:], start=blocks[0])
+
+    def coefficients(self, point: PointAssignment) -> QSeries:
+        """The sum of the weights of each degree at ``point``.
+
+        Fixed points are enumerated slot by slot with the product of the
+        blocks chosen so far; a zero-class block prunes its branch.  Block
+        values are kept for this call only.  A fixed point with a block that
+        vanishes or has a pole here is evaluated whole, since one factor can
+        sit in two blocks with opposite signs: so zeros and
+        :class:`PoleAtPoint` are exactly those of the merged weights.
+        """
+        values = {}  # None: zero class; 0: vanishes or has a pole here
+        totals = [RAT_ZERO] * (self.order + 1)
+
+        def value(key):
+            if key not in values:
+                w = self.weight(*key)
+                try:
+                    values[key] = w if w is None else w.eval_point(point)
+                except PoleAtPoint:
+                    values[key] = RAT_ZERO
+            return values[key]
+
+        stack = [((), 0, RAT_ONE)]  # (states of the first slots, their size, product)
+        while stack:
+            states, size, prefix = stack.pop()
+            k = len(states)
+            for m in range(self.order - size + 1):
+                for s in self.states(m):
+                    keys = [(k, k, s, s)]
+                    for j, s_j in enumerate(states):
+                        keys += [(j, k, s_j, s), (k, j, s, s_j)]
+                    blocks = [value(key) for key in keys]
+                    if any(x is None for x in blocks):
+                        continue
+                    v = math.prod(blocks, start=prefix)
+                    here = states + (s,)
+                    if k + 1 < self.slots:
+                        stack.append((here, size + m, v))
+                    else:
+                        totals[size + m] += v or self.fixed_point_weight(here).eval_point(point)
+
+        return QSeries(totals)
 
 
-def eval_forms(forms: list, point: PointAssignment) -> QSeries:
-    """Evaluate per-degree form lists at one point and sum each degree."""
-    return QSeries(
-        sum((f.eval_point(point) for f in fs), start=RAT_ZERO) for fs in forms
-    )
+def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
+    """The fixed-line sum as a block table: a slot's state is its length and
+    block ``(a, b)`` has weight ``weight(vertex_block(...))``."""
+    slots = ranks.slots()
+
+    def block(a, b, m_a, m_b):
+        lengths = [0] * len(slots)
+        lengths[a], lengths[b] = m_a, m_b
+        (i, alpha), (j, beta) = slots[a], slots[b]
+        return weight(vertex_block(FixedPoint(ranks, tuple(lengths)), i, j, alpha, beta))
+
+    return BlockTable(len(slots), order, lambda n: (n,), block)
+
+
+def localized_forms(ranks: Ranks, order: int) -> BlockTable:
+    """The localization weights ``k_euler(-T)`` up to degree ``order``;
+    point-independent: build once, evaluate often."""
+    return line_table(ranks, order, lambda block: k_euler(-block))
+
+
+def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
+    """Evaluate a block table at one point and sum each degree."""
+    return table.coefficients(point)
 
 
 def z_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
@@ -241,15 +310,11 @@ def zhat_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
     variables.
     """
     point = ctx.point
-    coeffs = []
-    for n in range(ctx.order + 1):
-        twist = point.monomial_value(half_weight_twist(ranks, n))
-        total = RAT_ZERO
-        for bn in fixed_points(ranks, n):
-            form = k_euler(-substitute_halfweights(vertex_term(bn)))
-            total = total + form.eval_point(point)
-        coeffs.append(total * twist)
-    return QSeries(coeffs)
+    table = line_table(ranks, ctx.order, lambda block: k_euler(-substitute_halfweights(block)))
+    return QSeries(
+        c * point.monomial_value(half_weight_twist(ranks, n))
+        for n, c in enumerate(table.coefficients(point).coefficients)
+    )
 
 
 def zhat_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
@@ -287,14 +352,7 @@ def coh_variables(ranks: Ranks) -> tuple:
 def zcoh_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
     """Cohomological partition function as a sum of residues
     ``1 / e(T)`` over the fixed locus; the point assigns ``s`` and ``v``."""
-    point = ctx.point
-    coeffs = []
-    for n in range(ctx.order + 1):
-        total = RAT_ZERO
-        for bn in fixed_points(ranks, n):
-            total = total + coh_euler(-vertex_term(bn)).eval_point(point)
-        coeffs.append(total)
-    return QSeries(coeffs)
+    return line_table(ranks, ctx.order, lambda block: coh_euler(-block)).coefficients(ctx.point)
 
 
 def zcoh_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:

@@ -98,6 +98,13 @@ class TestVerify:
             main(["verify", "smooth-chi-y", "--r1", "1", "--r2", "0"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("ranks", [["--r1", "1", "--r2", "0"], ["--r2", "1"]])
+    def test_limits_suite_rejects_one_framing_slot(self, ranks):
+        """With one slot there is no slot pair, so no block limit is checked."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "limits"] + ranks)
+        assert exc.value.code == EXIT_USAGE
+
     @pytest.mark.parametrize(
         "args",
         [["cy-vanishing", "--order", "0"], ["framing", "--num-points", "1"]],

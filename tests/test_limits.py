@@ -16,8 +16,7 @@ from quotloc.limits import (
     crossing_shift_monomial,
     factored_shift_monomial,
     framing_limit,
-    l_degree,
-    limit_weight,
+    limit_table,
     z_via_limits,
 )
 from quotloc.points import EvalContext, draw_point, rational_stream, seeded_point
@@ -53,7 +52,7 @@ class TestSpeedOrder:
 
     def test_degree_vector(self):
         m = Monomial({w_var(1, 1): 2, w_var(2, 2): -3})
-        assert l_degree(m, ORDER22) == (-3, 0, 0, 2)
+        assert ORDER22.degree(m) == (-3, 0, 0, 2)
 
 
 class TestFramingLimit:
@@ -160,10 +159,14 @@ class TestZViaLimits:
             ctx = EvalContext(draw_point((T1, T2), stream), 11, 4)
             assert z_via_limits(ranks, ctx) == z_closed(ranks, ctx)
 
-    def test_limit_weight_is_pure_t(self):
-        for bn in fixed_points(Ranks(2, 1), 3):
-            lim = limit_weight(bn)
-            assert all(v[0] == "t" for v in lim.monomial.variables())
-            assert all(
-                v[0] == "t" for m, _ in lim.factors.factors() for v in m.variables()
-            )
+    def test_limit_table_weights_are_pure_t(self):
+        table = limit_table(Ranks(2, 1), 3)
+        for a, b in itertools.product(range(3), repeat=2):
+            for m_a, m_b in itertools.product(range(4), repeat=2):
+                if m_a + m_b > 3 or (a == b and m_a != m_b):
+                    continue
+                lim = table.weight(a, b, m_a, m_b)
+                assert all(v[0] == "t" for v in lim.monomial.variables())
+                assert all(
+                    v[0] == "t" for m, _ in lim.factors.factors() for v in m.variables()
+                )

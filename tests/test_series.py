@@ -273,8 +273,11 @@ class TestCyVanishing:
 
 class TestEvalFormsPlumbing:
     def test_localized_forms_shape(self):
-        forms = localized_forms(Ranks(2, 1), 3)
-        assert [len(f) for f in forms] == [1, 3, 6, 10]
+        table = localized_forms(Ranks(2, 1), 3)
+        assert (table.slots, table.order) == (3, 3)
+        for n in range(4):
+            for bn in fixed_points(Ranks(2, 1), n):
+                assert table.fixed_point_weight(bn.lengths) == contribution(bn)
 
     def test_eval_forms_equals_z_localized(self):
         ranks = Ranks(1, 1)
