@@ -9,7 +9,7 @@ point per rank, so the table doubles as a quick end-to-end sanity check.
 
 import argparse
 
-from quotloc import EvalContext, Ranks, rat_str, seeded_point, z_closed, z_localized
+from quotloc import Ranks, eval_forms, localized_forms, rat_str, seeded_point, z_closed
 
 
 def main():
@@ -20,9 +20,9 @@ def main():
 
     grid = [Ranks(1, 0), Ranks(0, 1), Ranks(1, 1), Ranks(2, 1), Ranks(2, 2)]
     for ranks in grid:
-        ctx = EvalContext(seeded_point(ranks.variables(), args.seed), args.seed, args.order)
-        localized = z_localized(ranks, ctx)
-        closed = z_closed(ranks, ctx)
+        point = seeded_point(ranks.variables(), args.seed)
+        localized = eval_forms(localized_forms(ranks, args.order), point)
+        closed = z_closed(ranks, point, args.order)
         tag = "ok" if localized == closed else "MISMATCH"
         print(f"ranks ({ranks.r1},{ranks.r2})  [{tag}]")
         for n, c in enumerate(localized.coefficients):

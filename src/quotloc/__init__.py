@@ -20,7 +20,6 @@ from .chars import (
     PoleAtPoint,
     TrivialDenominator,
     TrivialWeight,
-    bar,
     coh_euler,
     k_euler,
     substitute_halfweights,
@@ -34,19 +33,18 @@ from .limits import (
     LimitValue,
     SpeedOrder,
     framing_limit,
-    z_via_limits,
+    limit_table,
 )
 from .oracle import (
     Partition,
     PartitionTuple,
+    oracle_forms,
     partition_tuples,
     plane_q_char,
     plane_tvir,
     taut_char,
-    z_oracle,
 )
 from .points import (
-    EvalContext,
     PointAssignment,
     PointExhausted,
     rational_stream,
@@ -58,18 +56,20 @@ from .series import (
     BlockTable,
     QSeries,
     binom_series,
+    coh_forms,
     cy_first_order,
     cy_first_order_closed,
     cy_order,
     euler_char_series,
+    eval_forms,
+    half_weight_twist,
+    localized_forms,
     plethystic_exp,
+    twisted_forms,
     z_closed,
-    z_localized,
     z_rank1_product,
     zcoh_closed,
-    zcoh_localized,
     zhat_closed,
-    zhat_localized,
 )
 from .vertex import (
     FixedPoint,

@@ -299,11 +299,6 @@ class Character:
         return text[2:] if text.startswith("+ ") else text
 
 
-def bar(character: Character) -> Character:
-    """Module-level alias for :meth:`Character.bar`."""
-    return character.bar()
-
-
 def substitute_halfweights(character: Character) -> Character:
     """Replace every ``t_i^e`` by ``u_i^(2e)``; framing variables pass through.
 

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .points import EvalContext, PointExhausted, rational_stream, retry_points
+from .points import PointExhausted, rational_stream, retry_points
 from .rational import rat_str
 from .series import eval_forms, localized_forms, z_closed
 from .suites import CLI_SUITES, SuiteReport
@@ -102,7 +102,7 @@ def cmd_compute(cfg: RunConfig) -> tuple[str, int]:
         point, localized = retry_points(
             ranks.variables(), stream, lambda p: eval_forms(forms, p)
         )
-        closed = z_closed(ranks, EvalContext(point, cfg.seed, order))
+        closed = z_closed(ranks, point, order)
         point_blocks.append(
             (
                 f"point {index}",
@@ -199,26 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_compute)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument(
-        "suite_pos", nargs="?", default=None, metavar="SUITE",
-        help=f"one of: {', '.join(sorted(CLI_SUITES))}",
-    )
-    p_verify.add_argument("--suite", dest="suite_opt", default=None, help=argparse.SUPPRESS)
+    p_verify.add_argument("suite", metavar="SUITE", help=f"one of: {', '.join(sorted(CLI_SUITES))}")
     common(p_verify)
 
     return parser
 
 
 def _validate(parser, args) -> RunConfig:
-    suite = None
-    if args.command == "verify":
-        suite = args.suite_pos or args.suite_opt
-        if suite is None:
-            parser.error("verify needs a suite name")
-        if args.suite_pos and args.suite_opt and args.suite_pos != args.suite_opt:
-            parser.error("conflicting suite names given")
-        if suite not in CLI_SUITES:
-            parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
+    suite = args.suite if args.command == "verify" else None
+    if suite is not None and suite not in CLI_SUITES:
+        parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
     cfg = RunConfig(
         command=args.command,
         suite=suite,

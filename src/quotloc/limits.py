@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import FactoredForm, Monomial, k_euler
-from .points import EvalContext
-from .series import BlockTable, QSeries, line_table
+from .series import BlockTable, line_table
 from .vertex import FixedPoint, Ranks, vertex_block
 
 GROWING, NEUTRAL, DECAYING = 1, 0, -1
@@ -125,19 +124,14 @@ def block_limit(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> LimitV
 
 
 def limit_table(ranks: Ranks, order: int) -> BlockTable:
-    """The block limits of ``ranks`` as a block table (pure ``t`` weights)."""
+    """The block limits of ``ranks`` as a block table (pure ``t`` weights).
+
+    Its sum needs only ``t1, t2``: the framing variables are gone after the
+    limit.  Agreement with the closed form re-derives the factorization into
+    rank-one series.
+    """
     speed = SpeedOrder(ranks)
     return line_table(ranks, order, lambda block: framing_limit(k_euler(-block), speed))
-
-
-def z_via_limits(ranks: Ranks, ctx: EvalContext) -> QSeries:
-    """The partition function recomputed from block limits alone.
-
-    The context point assigns only ``t1, t2``; the framing variables are
-    gone after the limit.  Agreement with the closed form re-derives the
-    factorization into rank-one series.
-    """
-    return limit_table(ranks, ctx.order).coefficients(ctx.point)
 
 
 def crossing_shift_monomial(bn: FixedPoint) -> Monomial:

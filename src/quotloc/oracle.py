@@ -20,8 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .chars import T1, T2, Character, FactoredForm, Monomial, k_euler, t_var, w_var
-from .points import EvalContext
-from .series import BlockTable, QSeries, eval_forms
+from .series import BlockTable
 from .vertex import MovabilityViolation, Ranks
 
 
@@ -106,8 +105,6 @@ def partition_tuples(ranks: Ranks, n: int) -> list:
             for diagram in partitions(here):
                 descend(slot + 1, remaining - here, prefix + (diagram,))
 
-    if r == 0:  # unreachable through Ranks, kept for safety
-        return [PartitionTuple(ranks, ())] if n == 0 else []
     descend(0, n, ())
     return out
 
@@ -169,7 +166,8 @@ def oracle_contribution(tup: PartitionTuple) -> FactoredForm:
 
 
 def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
-    """The oracle weights as a block table over Young diagrams.  Block
+    """The oracle weights as a block table over Young diagrams; its sum must
+    agree coefficientwise with the intersecting-lines localization.  Block
     ``(a, b)`` is the pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w (Z_b + E
     Z_b bar(Z_a)))`` with ``w = w_a^-1 w_b`` and ``i`` the line of slot ``a``;
     ``None`` when the insertion is the zero class."""
@@ -186,9 +184,3 @@ def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
         return insertion * k_euler(-tangent)
 
     return BlockTable(len(slots), order, partitions, block)
-
-
-def z_oracle(ranks: Ranks, ctx: EvalContext) -> QSeries:
-    """The partition function recomputed on the plane Quot scheme; must
-    agree coefficientwise with the intersecting-lines localization."""
-    return eval_forms(oracle_forms(ranks, ctx.order), ctx.point)

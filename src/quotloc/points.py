@@ -10,7 +10,6 @@ point is rejected and the next candidate is drawn, up to a hard cap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .chars import PoleAtPoint, var_name
@@ -120,16 +119,3 @@ def retry_points(
         f"no pole-free point among {attempts} candidates for {[var_name(v) for v in variables]}"
     )
 
-
-@dataclass(frozen=True)
-class EvalContext:
-    """Evaluation context shared by the series computations: a point, the
-    seed it came from and the q-truncation order."""
-
-    point: PointAssignment
-    seed: int
-    order: int
-
-    @classmethod
-    def at_seed(cls, variables: Iterable, seed: int, order: int) -> "EvalContext":
-        return cls(point=seeded_point(variables, seed), seed=seed, order=order)

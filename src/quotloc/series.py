@@ -25,7 +25,7 @@ from .chars import (
     t_var,
     u_var,
 )
-from .points import EvalContext, PointAssignment
+from .points import PointAssignment
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO, rational
 from .vertex import FixedPoint, Ranks, vertex_block
 
@@ -121,16 +121,15 @@ class QSeries:
         return " + ".join(bits) + f" + O(q^{self.order + 1})"
 
 
-def plethystic_exp(f_eval: Callable[[int], object], ctx: EvalContext) -> QSeries:
+def plethystic_exp(f_eval: Callable[[int], object], order: int) -> QSeries:
     """Plethystic exponential ``exp(sum_k q^k f(vars^k) / k)`` truncated at
-    the context order.
+    ``order``.
 
     ``f_eval(k)`` must return the exact value of the single-box term with
     every variable raised to the ``k``-th power.
     """
-    n = ctx.order
     log_coeffs = [RAT_ZERO]
-    for k in range(1, n + 1):
+    for k in range(1, order + 1):
         log_coeffs.append(f_eval(k) / rational(k))
     return QSeries(log_coeffs).exp()
 
@@ -248,23 +247,17 @@ def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     return table.coefficients(point)
 
 
-def z_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
-    """The partition function computed as a sum of equivariant residues
-    over the fixed locus, evaluated at the context point."""
-    return eval_forms(localized_forms(ranks, ctx.order), ctx.point)
-
-
-def z_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
+def z_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """The closed form: the plethystic exponential of
     ``q (1 - t1 t2)(1 - t1^r1 t2^r2) / ((1 - t1)(1 - t2))``."""
-    t1 = ctx.point.value(t_var(1))
-    t2 = ctx.point.value(t_var(2))
+    t1 = point.value(t_var(1))
+    t2 = point.value(t_var(2))
 
     def f(k: int):
         a, b = t1**k, t2**k
         return (1 - a * b) * closed_g(ranks, a, b)
 
-    return plethystic_exp(f, ctx)
+    return plethystic_exp(f, order)
 
 
 def closed_g(ranks: Ranks, a, b):
@@ -273,15 +266,15 @@ def closed_g(ranks: Ranks, a, b):
     return (1 - a**ranks.r1 * b**ranks.r2) / ((1 - a) * (1 - b))
 
 
-def z_rank1_product(ctx: EvalContext) -> QSeries:
+def z_rank1_product(point: PointAssignment, order: int) -> QSeries:
     """Rank-one series by the product formula: coefficient ``n`` is
     ``prod_(a=1..n) (1 - t1 t2^a)/(1 - t2^a)``."""
-    t1 = ctx.point.value(t_var(1))
-    t2 = ctx.point.value(t_var(2))
+    t1 = point.value(t_var(1))
+    t2 = point.value(t_var(2))
     coeffs = [RAT_ONE]
     value = RAT_ONE
     power = RAT_ONE
-    for a in range(1, ctx.order + 1):
+    for a in range(1, order + 1):
         power = power * t2
         den = 1 - power
         if not den:
@@ -296,33 +289,27 @@ def z_rank1_product(ctx: EvalContext) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def half_weight_twist(ranks: Ranks, n: int) -> Monomial:
-    """The square root of the determinant twist at degree ``n``, written in
-    the ``u`` variables: ``(t1^r1 t2^r2)^(-n/2) = u1^(-r1 n) u2^(-r2 n)``."""
-    return Monomial([(u_var(1), -ranks.r1 * n), (u_var(2), -ranks.r2 * n)])
+def half_weight_twist(ranks: Ranks) -> Monomial:
+    """The square root of the determinant twist at degree one, written in
+    the ``u`` variables: ``(t1^r1 t2^r2)^(-1/2) = u1^-r1 u2^-r2``.  Degree
+    ``n`` takes its ``n``-th power, so the twisted series at ``p`` is
+    ``eval_forms(twisted_forms(ranks, order), p)`` with ``q`` scaled by this
+    monomial's value at ``p``."""
+    return Monomial([(u_var(1), -ranks.r1), (u_var(2), -ranks.r2)])
 
 
-def zhat_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
-    """Twisted partition function from the fixed locus, in ``u`` variables.
-
-    Each degree-``n`` residue is multiplied by the half-weight twist
-    monomial; the context point assigns ``u1, u2`` and the framing
-    variables.
-    """
-    point = ctx.point
-    table = line_table(ranks, ctx.order, lambda block: k_euler(-substitute_halfweights(block)))
-    return QSeries(
-        c * point.monomial_value(half_weight_twist(ranks, n))
-        for n, c in enumerate(table.coefficients(point).coefficients)
-    )
+def twisted_forms(ranks: Ranks, order: int) -> BlockTable:
+    """The untwisted weights ``k_euler(-T)`` of the twisted series, with
+    every ``t`` written in the ``u`` variables (``t = u^2``)."""
+    return line_table(ranks, order, lambda block: k_euler(-substitute_halfweights(block)))
 
 
-def zhat_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
+def zhat_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """Closed form of the twisted series: the plethystic exponential of
     ``q [t1 t2][t1^r1 t2^r2] / ([t1][t2])`` with ``[x] = x^(1/2) - x^(-1/2)``
     realized through the ``u`` variables."""
-    u1 = ctx.point.value(u_var(1))
-    u2 = ctx.point.value(u_var(2))
+    u1 = point.value(u_var(1))
+    u2 = point.value(u_var(2))
     r1, r2 = ranks.r1, ranks.r2
 
     def bracket(x):
@@ -336,7 +323,7 @@ def zhat_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
             / (bracket(a) * bracket(b))
         )
 
-    return plethystic_exp(f, ctx)
+    return plethystic_exp(f, order)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +336,18 @@ def coh_variables(ranks: Ranks) -> tuple:
     return (("s", 1), ("s", 2)) + tuple(("v", i, a) for i, a in ranks.slots())
 
 
-def zcoh_localized(ranks: Ranks, ctx: EvalContext) -> QSeries:
-    """Cohomological partition function as a sum of residues
-    ``1 / e(T)`` over the fixed locus; the point assigns ``s`` and ``v``."""
-    return line_table(ranks, ctx.order, lambda block: coh_euler(-block)).coefficients(ctx.point)
+def coh_forms(ranks: Ranks, order: int) -> BlockTable:
+    """The cohomological residues ``1 / e(T)``; a point assigns ``s`` and ``v``."""
+    return line_table(ranks, order, lambda block: coh_euler(-block))
 
 
-def zcoh_closed(ranks: Ranks, ctx: EvalContext) -> QSeries:
+def zcoh_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """Closed cohomological form: ``(1/(1-q))^c`` with
     ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``."""
-    s1 = ctx.point.value(("s", 1))
-    s2 = ctx.point.value(("s", 2))
+    s1 = point.value(("s", 1))
+    s2 = point.value(("s", 2))
     c = (s1 + s2) * (ranks.r1 * s1 + ranks.r2 * s2) / (s1 * s2)
-    return binom_series(c, ctx.order)
+    return binom_series(c, order)
 
 
 # ---------------------------------------------------------------------------

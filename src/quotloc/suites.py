@@ -28,26 +28,27 @@ from .limits import (
     crossing_shift_monomial,
     factored_shift_monomial,
     framing_limit,
-    z_via_limits,
+    limit_table,
 )
 from .oracle import oracle_forms, partition_tuples, plane_tvir, taut_char
-from .points import EvalContext, draw_point, rational_stream, retry_points
+from .points import draw_point, rational_stream, retry_points
 from .rational import rat_str, rational
 from .series import (
     QSeries,
+    coh_forms,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
     cy_order,
     eval_forms,
     euler_char_series,
+    half_weight_twist,
     localized_forms,
+    twisted_forms,
     z_closed,
     z_rank1_product,
     zcoh_closed,
-    zcoh_localized,
     zhat_closed,
-    zhat_localized,
 )
 from .vertex import (
     FixedPoint,
@@ -113,6 +114,15 @@ def _series_check(report, label, point, lhs, rhs):
     )
 
 
+def _compare_at_points(report, label, variables, lhs, rhs, num_points, seed):
+    """Check ``lhs(p) == rhs(p)`` at ``num_points`` pole-free points drawn
+    from one seeded stream; a pole on either side redraws the point."""
+    stream = rational_stream(seed)
+    for _ in range(num_points):
+        point, (left, right) = retry_points(variables, stream, lambda p: (lhs(p), rhs(p)))
+        _series_check(report, label, point, left, right)
+
+
 # ---------------------------------------------------------------------------
 # series equality suites
 # ---------------------------------------------------------------------------
@@ -123,27 +133,21 @@ def suite_closed_form(ranks_list=CLOSED_FORM_RANKS, order=6, num_points=5, seed=
     report = SuiteReport("closed-form")
     for ranks in ranks_list:
         forms = localized_forms(ranks, order)
-        stream = rational_stream(seed)
-        for _ in range(num_points):
-            point, localized = retry_points(
-                ranks.variables(), stream, lambda p: eval_forms(forms, p)
-            )
-            closed = z_closed(ranks, EvalContext(point, seed, order))
-            _series_check(report, f"closed-form r={ranks.r1},{ranks.r2}", point, localized, closed)
+        _compare_at_points(
+            report, f"closed-form r={ranks.r1},{ranks.r2}", ranks.variables(),
+            lambda p: eval_forms(forms, p), lambda p: z_closed(ranks, p, order),
+            num_points, seed,
+        )
     return report
 
 
 def suite_rank1_product(order=8, num_points=5, seed=1):
     """The rank-one product formula matches the closed form."""
     report = SuiteReport("rank1-product")
-    ranks = Ranks(1, 0)
-    stream = rational_stream(seed)
-    for _ in range(num_points):
-        point = draw_point((T1, T2), stream)
-        ctx = EvalContext(point, seed, order)
-        _series_check(
-            report, "rank1-product", point, z_rank1_product(ctx), z_closed(ranks, ctx)
-        )
+    _compare_at_points(
+        report, "rank1-product", (T1, T2), lambda p: z_rank1_product(p, order),
+        lambda p: z_closed(Ranks(1, 0), p, order), num_points, seed,
+    )
     return report
 
 
@@ -181,15 +185,15 @@ def suite_factorization(ranks_list=FACTORIZATION_RANKS, order=4, num_points=3, s
     for ranks in ranks_list:
         stream = rational_stream(seed)
         forms = localized_forms(ranks, order)
+        limits = limit_table(ranks, order)
         for _ in range(num_points):
             t_point = draw_point((T1, T2), stream)
-            ctx_t = EvalContext(t_point, seed, order)
-            closed = z_closed(ranks, ctx_t)
+            closed = z_closed(ranks, t_point, order)
             _series_check(
                 report,
                 f"limits-sum r={ranks.r1},{ranks.r2}",
                 t_point,
-                z_via_limits(ranks, ctx_t),
+                eval_forms(limits, t_point),
                 closed,
             )
             # explicit product of q-shifted rank-one factors
@@ -197,10 +201,10 @@ def suite_factorization(ranks_list=FACTORIZATION_RANKS, order=4, num_points=3, s
             product = QSeries.one(order)
             for a in range(1, ranks.r1 + 1):
                 shift = t1 ** (ranks.r1 - a) * t2**ranks.r2
-                product = product * z_closed(Ranks(1, 0), ctx_t).scale_q(shift)
+                product = product * z_closed(Ranks(1, 0), t_point, order).scale_q(shift)
             for a in range(1, ranks.r2 + 1):
                 shift = t2 ** (ranks.r2 - a)
-                product = product * z_closed(Ranks(0, 1), ctx_t).scale_q(shift)
+                product = product * z_closed(Ranks(0, 1), t_point, order).scale_q(shift)
             _series_check(
                 report,
                 f"factorized-product r={ranks.r1},{ranks.r2}",
@@ -285,7 +289,6 @@ def _limits_numeric_convergence(report, ranks, seed):
                 gaps[1] < gaps[0],
                 f"no convergence toward the limit for block ({j}{i},{beta}{alpha}) at {bn}",
             )
-    return report
 
 
 def suite_oracle(ranks_list=None, order=4, num_points=3, seed=1):
@@ -310,16 +313,11 @@ def suite_oracle(ranks_list=None, order=4, num_points=3, seed=1):
                 )
         plane = oracle_forms(ranks, order)
         lines = localized_forms(ranks, order)
-        stream = rational_stream(seed)
-        for _ in range(num_points):
-            point, pair = retry_points(
-                ranks.variables(),
-                stream,
-                lambda p: (eval_forms(plane, p), eval_forms(lines, p)),
-            )
-            _series_check(
-                report, f"oracle r={ranks.r1},{ranks.r2}", point, pair[0], pair[1]
-            )
+        _compare_at_points(
+            report, f"oracle r={ranks.r1},{ranks.r2}", ranks.variables(),
+            lambda p: eval_forms(plane, p), lambda p: eval_forms(lines, p),
+            num_points, seed,
+        )
     return report
 
 
@@ -327,17 +325,12 @@ def suite_cohomological(ranks_list=COH_RANKS, order=4, num_points=5, seed=1):
     """Cohomological residues equal the binomial closed form."""
     report = SuiteReport("cohomological")
     for ranks in ranks_list:
-        stream = rational_stream(seed)
-        for _ in range(num_points):
-            point, localized = retry_points(
-                coh_variables(ranks),
-                stream,
-                lambda p: zcoh_localized(ranks, EvalContext(p, seed, order)),
-            )
-            closed = zcoh_closed(ranks, EvalContext(point, seed, order))
-            _series_check(
-                report, f"cohomological r={ranks.r1},{ranks.r2}", point, localized, closed
-            )
+        forms = coh_forms(ranks, order)
+        _compare_at_points(
+            report, f"cohomological r={ranks.r1},{ranks.r2}", coh_variables(ranks),
+            lambda p: eval_forms(forms, p), lambda p: zcoh_closed(ranks, p, order),
+            num_points, seed,
+        )
     return report
 
 
@@ -357,18 +350,12 @@ def suite_no_twist(
                     f"det tangent at {bn} is {got!r} != {expected!r}",
                 )
     for ranks in ranks_list:
-        u_vars = (u_var(1), u_var(2)) + ranks.w_vars()
-        stream = rational_stream(seed)
-        for _ in range(num_points):
-            point, localized = retry_points(
-                u_vars,
-                stream,
-                lambda p: zhat_localized(ranks, EvalContext(p, seed, order)),
-            )
-            closed = zhat_closed(ranks, EvalContext(point, seed, order))
-            _series_check(
-                report, f"twisted r={ranks.r1},{ranks.r2}", point, localized, closed
-            )
+        forms, twist = twisted_forms(ranks, order), half_weight_twist(ranks)
+        _compare_at_points(
+            report, f"twisted r={ranks.r1},{ranks.r2}", (u_var(1), u_var(2)) + ranks.w_vars(),
+            lambda p: eval_forms(forms, p).scale_q(p.monomial_value(twist)),
+            lambda p: zhat_closed(ranks, p, order), num_points, seed,
+        )
     return report
 
 

@@ -68,11 +68,12 @@ class TestVerify:
         assert "checks: 9" in out and "failures: 0" in out
         assert out.rstrip().endswith("status: pass")
 
-    def test_suite_via_option_flag(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--suite", "smooth-chi-y", "--order", "2"], capsys
-        )
-        assert code == EXIT_PASS and "suite: smooth-chi-y" in out
+    def test_suite_option_flag_is_rejected(self, capsys):
+        """The suite is named only positionally; ``--suite NAME`` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "smooth-chi-y", "--order", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_small_closed_form(self, capsys):
         code, out, _ = run_cli(

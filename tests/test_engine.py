@@ -1,6 +1,7 @@
 """The pairwise block engine against the per-fixed-point reference sums.
 
-Every localized sum is a ``BlockTable``; the references rebuild each fixed
+Every localized sum is a ``BlockTable``, built once per rank pair and
+evaluated through ``eval_forms``; the references rebuild each fixed
 point's whole character (``vertex_term``, ``plane_tvir``, ``taut_char``) and
 evaluate its weight.  At generic points both sides give the same series; at
 degenerate points they give the same series or both raise ``PoleAtPoint``.
@@ -22,17 +23,18 @@ from quotloc.chars import (
     k_euler,
     substitute_halfweights,
 )
-from quotloc.limits import block_limit, z_via_limits
-from quotloc.oracle import oracle_contribution, oracle_forms, partition_tuples, z_oracle
-from quotloc.points import EvalContext, PointAssignment, seeded_point
+from quotloc.limits import block_limit, limit_table
+from quotloc.oracle import oracle_contribution, oracle_forms, partition_tuples
+from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import ZERO, rational
 from quotloc.series import (
     QSeries,
+    coh_forms,
     coh_variables,
+    eval_forms,
     half_weight_twist,
-    z_localized,
-    zcoh_localized,
-    zhat_localized,
+    localized_forms,
+    twisted_forms,
 )
 from quotloc.suites import ranks_up_to
 from quotloc.vertex import contribution, fixed_points, vertex_term
@@ -60,7 +62,7 @@ def ref_oracle(ranks, order):
 
 def ref_twisted(ranks, order):
     weight = lambda bn: k_euler(-substitute_halfweights(vertex_term(bn)))
-    twist = lambda n: half_weight_twist(ranks, n)
+    twist = lambda n: half_weight_twist(ranks) ** n
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight, twist)
 
 
@@ -85,6 +87,21 @@ def ref_limits(ranks, order):
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
 
 
+def evaluated(builder):
+    """The engine side of a sum: its table, built once, through ``eval_forms``."""
+
+    def sum_at(ranks, order):
+        table = builder(ranks, order)
+        return lambda point: eval_forms(table, point)
+
+    return sum_at
+
+
+def twisted_sum(ranks, order):
+    untwisted, twist = evaluated(twisted_forms)(ranks, order), half_weight_twist(ranks)
+    return lambda point: untwisted(point).scale_q(point.monomial_value(twist))
+
+
 def plane_vars(ranks):
     return ranks.variables()
 
@@ -99,11 +116,11 @@ def limit_vars(ranks):
 
 # name: (engine, reference, variables, the two torus variables, framing kind)
 SUMS = {
-    "localized": (z_localized, ref_localized, plane_vars, (T1, T2), "w"),
-    "oracle": (z_oracle, ref_oracle, plane_vars, (T1, T2), "w"),
-    "twisted": (zhat_localized, ref_twisted, twisted_vars, (U1, U2), "w"),
-    "cohomological": (zcoh_localized, ref_cohomological, coh_variables, (S1, S2), "v"),
-    "limits": (z_via_limits, ref_limits, limit_vars, (T1, T2), None),
+    "localized": (evaluated(localized_forms), ref_localized, plane_vars, (T1, T2), "w"),
+    "oracle": (evaluated(oracle_forms), ref_oracle, plane_vars, (T1, T2), "w"),
+    "twisted": (twisted_sum, ref_twisted, twisted_vars, (U1, U2), "w"),
+    "cohomological": (evaluated(coh_forms), ref_cohomological, coh_variables, (S1, S2), "v"),
+    "limits": (evaluated(limit_table), ref_limits, limit_vars, (T1, T2), None),
 }
 
 
@@ -119,8 +136,8 @@ def test_engine_equals_reference_at_seeded_points(name):
     engine, reference, variables = SUMS[name][:3]
     order = 3 if name == "oracle" else 4
     for ranks in ranks_up_to(3):
-        ctx = EvalContext.at_seed(variables(ranks), 40 + ranks.total, order)
-        assert engine(ranks, ctx) == reference(ranks, order)(ctx.point), ranks
+        point = seeded_point(variables(ranks), 40 + ranks.total)
+        assert engine(ranks, order)(point) == reference(ranks, order)(point), ranks
 
 
 def degenerate_points(name, ranks):
@@ -151,10 +168,10 @@ def test_engine_matches_reference_at_degenerate_points(name):
     order = 3
     poles = cases = 0
     for ranks in ranks_up_to(3):
-        at = reference(ranks, order)
+        engine_at, reference_at = engine(ranks, order), reference(ranks, order)
         for point in degenerate_points(name, ranks):
-            got = outcome(lambda: engine(ranks, EvalContext(point, 0, order)))
-            want = outcome(lambda: at(point))
+            got = outcome(lambda: engine_at(point))
+            want = outcome(lambda: reference_at(point))
             assert got == want, (ranks, point)
             cases += 1
             poles += want == "pole"

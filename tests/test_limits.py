@@ -17,11 +17,10 @@ from quotloc.limits import (
     factored_shift_monomial,
     framing_limit,
     limit_table,
-    z_via_limits,
 )
-from quotloc.points import EvalContext, draw_point, rational_stream, seeded_point
+from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rational
-from quotloc.series import z_closed, z_localized
+from quotloc.series import eval_forms, localized_forms, z_closed
 from quotloc.vertex import FixedPoint, Ranks, fixed_points, vertex_block
 
 
@@ -133,31 +132,28 @@ class TestZViaLimits:
     def test_rank_one_trivially_equals_localized(self):
         ranks = Ranks(1, 0)
         t_point = seeded_point((T1, T2), 5)
-        ctx = EvalContext(t_point, 5, 4)
-        full = EvalContext(
-            seeded_point(ranks.variables(), 6).with_values(dict(t_point.items())), 5, 4
-        )
-        assert z_via_limits(ranks, ctx) == z_localized(ranks, full)
+        full = seeded_point(ranks.variables(), 6).with_values(dict(t_point.items()))
+        limits = eval_forms(limit_table(ranks, 4), t_point)
+        assert limits == eval_forms(localized_forms(ranks, 4), full)
 
     def test_hand_value_for_rank11(self):
         # degree-1 limit weights: t2 * (1-t1t2)/(1-t2) and (1-t1t2)/(1-t1),
         # totalling 25/2 at t1=2, t2=3
         from quotloc.points import PointAssignment
 
-        ctx = EvalContext(
-            PointAssignment({T1: rational(2), T2: rational(3)}), 0, 1
-        )
-        z = z_via_limits(Ranks(1, 1), ctx)
+        point = PointAssignment({T1: rational(2), T2: rational(3)})
+        z = eval_forms(limit_table(Ranks(1, 1), 1), point)
         assert z.coefficient(1) == rational(3) * rational(5, 2) + rational(5)
         assert z.coefficient(1) == rational(25, 2)
 
     @pytest.mark.parametrize("r1,r2", [(1, 1), (2, 1), (2, 2)])
     def test_equals_closed_form(self, r1, r2):
         ranks = Ranks(r1, r2)
+        table = limit_table(ranks, 4)
         stream = rational_stream(11)
         for _ in range(3):
-            ctx = EvalContext(draw_point((T1, T2), stream), 11, 4)
-            assert z_via_limits(ranks, ctx) == z_closed(ranks, ctx)
+            point = draw_point((T1, T2), stream)
+            assert eval_forms(table, point) == z_closed(ranks, point, 4)
 
     def test_limit_table_weights_are_pure_t(self):
         table = limit_table(Ranks(2, 1), 3)

@@ -7,15 +7,15 @@ from quotloc.oracle import (
     Partition,
     PartitionTuple,
     oracle_contribution,
+    oracle_forms,
     partition_tuples,
     partitions,
     plane_q_char,
     plane_tvir,
     taut_char,
-    z_oracle,
 )
-from quotloc.points import EvalContext, seeded_point
-from quotloc.series import z_localized
+from quotloc.points import seeded_point
+from quotloc.series import eval_forms, localized_forms
 from quotloc.vertex import Ranks
 
 t1 = Monomial.var(T1)
@@ -170,6 +170,7 @@ class TestOracleEquality:
     )
     def test_matches_line_localization(self, r1, r2):
         ranks = Ranks(r1, r2)
+        plane, lines = oracle_forms(ranks, 3), localized_forms(ranks, 3)
         for seed in (3, 17, 2024):
-            ctx = EvalContext(seeded_point(ranks.variables(), seed), seed, 3)
-            assert z_oracle(ranks, ctx) == z_localized(ranks, ctx)
+            point = seeded_point(ranks.variables(), seed)
+            assert eval_forms(plane, point) == eval_forms(lines, point)

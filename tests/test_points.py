@@ -4,13 +4,11 @@ import pytest
 
 from quotloc.chars import Monomial, PoleAtPoint, T1, T2
 from quotloc.points import (
-    EvalContext,
     PointAssignment,
     PointExhausted,
     draw_point,
     rational_stream,
     retry_points,
-    seeded_point,
 )
 from quotloc.rational import rational
 
@@ -80,10 +78,3 @@ def test_retry_exhaustion():
 
     with pytest.raises(PointExhausted):
         retry_points([T1], rational_stream(5), always_pole, attempts=7)
-
-
-def test_eval_context():
-    ctx = EvalContext.at_seed([T1, T2], seed=4, order=3)
-    assert ctx.order == 3
-    assert ctx.point.value(T1) == seeded_point([T1, T2], 4).value(T1)
-

@@ -8,26 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotloc.chars import FactoredForm, Monomial, T1, T2, u_var
-from quotloc.points import EvalContext, PointAssignment, seeded_point
+from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
     QSeries,
     binom_series,
+    coh_forms,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
     cy_order,
     euler_char_series,
     eval_forms,
+    half_weight_twist,
     localized_forms,
     plethystic_exp,
+    twisted_forms,
     z_closed,
-    z_localized,
     z_rank1_product,
     zcoh_closed,
-    zcoh_localized,
     zhat_closed,
-    zhat_localized,
 )
 from quotloc.suites import ranks_up_to
 from quotloc.vertex import Ranks, contribution, fixed_points
@@ -35,15 +35,28 @@ from quotloc.vertex import Ranks, contribution, fixed_points
 from strategies import nonzero_rationals
 
 
-def t_context(seed=1, order=4, t1=None, t2=None):
+def localized_at(ranks, point, order):
+    return eval_forms(localized_forms(ranks, order), point)
+
+
+def twisted_at(ranks, point, order):
+    twist = point.monomial_value(half_weight_twist(ranks))
+    return eval_forms(twisted_forms(ranks, order), point).scale_q(twist)
+
+
+def coh_at(ranks, point, order):
+    return eval_forms(coh_forms(ranks, order), point)
+
+
+def t_point(seed=1, t1=None, t2=None):
     point = seeded_point((T1, T2), seed)
     if t1 is not None:
         point = point.with_values({T1: rational(t1), T2: rational(t2)})
-    return EvalContext(point, seed, order)
+    return point
 
 
-def full_context(ranks, seed=1, order=4):
-    return EvalContext(seeded_point(ranks.variables(), seed), seed, order)
+def full_point(ranks, seed=1):
+    return seeded_point(ranks.variables(), seed)
 
 
 class TestQSeries:
@@ -79,20 +92,17 @@ class TestQSeries:
 
 class TestPlethysticExp:
     def test_constant_one_gives_geometric(self):
-        ctx = t_context(order=6)
-        s = plethystic_exp(lambda k: rational(1), ctx)
+        s = plethystic_exp(lambda k: rational(1), 6)
         assert s.coefficients == tuple(rational(1) for _ in range(7))
 
     def test_doubling_squares(self):
-        ctx = t_context(order=6)
-        s = plethystic_exp(lambda k: rational(2), ctx)
+        s = plethystic_exp(lambda k: rational(2), 6)
         assert [int(c) for c in s.coefficients] == list(range(1, 8))
-        one = plethystic_exp(lambda k: rational(1), ctx)
+        one = plethystic_exp(lambda k: rational(1), 6)
         assert s == one * one
 
     def test_zero(self):
-        ctx = t_context(order=5)
-        assert plethystic_exp(lambda k: rational(0), ctx) == QSeries.one(5)
+        assert plethystic_exp(lambda k: rational(0), 5) == QSeries.one(5)
 
 
 class TestBinomSeries:
@@ -115,9 +125,9 @@ class TestBinomSeries:
 
 class TestLocalizedVsClosed:
     def test_rank10_coefficient_formula(self):
-        ctx = full_context(Ranks(1, 0), seed=2, order=1)
-        t1, t2 = ctx.point.value(T1), ctx.point.value(T2)
-        z = z_localized(Ranks(1, 0), ctx)
+        point = full_point(Ranks(1, 0), seed=2)
+        t1, t2 = point.value(T1), point.value(T2)
+        z = localized_at(Ranks(1, 0), point, 1)
         assert z.coefficient(0) == 1
         assert z.coefficient(1) == (1 - t1 * t2) / (1 - t2)
 
@@ -128,47 +138,42 @@ class TestLocalizedVsClosed:
         point = seeded_point(ranks.variables(), 1).with_values(
             {T1: rational(2), T2: rational(3)}
         )
-        z = z_localized(ranks, EvalContext(point, 1, 1))
+        z = localized_at(ranks, point, 1)
         assert z.coefficient(1) == rational(25, 2)
 
     @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 1)])
     def test_equality(self, r1, r2):
         ranks = Ranks(r1, r2)
-        ctx = full_context(ranks, seed=3, order=4)
-        assert z_localized(ranks, ctx) == z_closed(ranks, ctx)
+        point = full_point(ranks, seed=3)
+        assert localized_at(ranks, point, 4) == z_closed(ranks, point, 4)
 
     def test_t_swap_symmetry(self):
         a = Ranks(2, 1)
-        ctx_a = full_context(a, seed=5, order=4)
-        t1v, t2v = ctx_a.point.value(T1), ctx_a.point.value(T2)
+        point_a = full_point(a, seed=5)
+        t1v, t2v = point_a.value(T1), point_a.value(T2)
         b = a.swapped()
         swapped_point = seeded_point(b.variables(), 5).with_values(
             {T1: t2v, T2: t1v}
         )
-        assert z_localized(a, ctx_a) == z_localized(
-            b, EvalContext(swapped_point, 5, 4)
-        )
+        assert localized_at(a, point_a, 4) == localized_at(b, swapped_point, 4)
 
     def test_framing_values_do_not_matter(self):
         ranks = Ranks(2, 1)
-        base = full_context(ranks, seed=9, order=3)
-        moved = base.point.scale_group("w", rational(7, 5))
-        assert z_localized(ranks, base) == z_localized(
-            ranks, EvalContext(moved, 9, 3)
-        )
+        base = full_point(ranks, seed=9)
+        moved = base.scale_group("w", rational(7, 5))
+        assert localized_at(ranks, base, 3) == localized_at(ranks, moved, 3)
 
 
 class TestRank1Product:
     def test_first_coefficients(self):
-        ctx = t_context(order=2, t1=2, t2=3)
-        z = z_rank1_product(ctx)
+        z = z_rank1_product(t_point(t1=2, t2=3), 2)
         assert z.coefficient(0) == 1
         assert z.coefficient(1) == rational(5, 2)
         assert z.coefficient(2) == rational(85, 16)
 
     def test_matches_closed_form(self):
-        ctx = t_context(seed=6, order=8)
-        assert z_rank1_product(ctx) == z_closed(Ranks(1, 0), ctx)
+        point = t_point(seed=6)
+        assert z_rank1_product(point, 8) == z_closed(Ranks(1, 0), point, 8)
 
 
 class TestTwistedSeries:
@@ -177,15 +182,15 @@ class TestTwistedSeries:
         point = PointAssignment(
             {u_var(1): rational(2), u_var(2): rational(3), ("w", 1, 1): rational(5, 7)}
         )
-        z = zhat_localized(ranks, EvalContext(point, 1, 1))
+        z = twisted_at(ranks, point, 1)
         assert z.coefficient(1) == rational(35, 16)
 
     @pytest.mark.parametrize("r1,r2", [(1, 0), (1, 1), (2, 1)])
     def test_localized_equals_closed(self, r1, r2):
         ranks = Ranks(r1, r2)
         u_vars = (u_var(1), u_var(2)) + ranks.w_vars()
-        ctx = EvalContext(seeded_point(u_vars, 4), 4, 4)
-        assert zhat_localized(ranks, ctx) == zhat_closed(ranks, ctx)
+        point = seeded_point(u_vars, 4)
+        assert twisted_at(ranks, point, 4) == zhat_closed(ranks, point, 4)
 
 
 class TestCohomologicalSeries:
@@ -193,21 +198,21 @@ class TestCohomologicalSeries:
         ranks = Ranks(1, 0)
         point = seeded_point(coh_variables(ranks), 2)
         s1, s2 = point.value(("s", 1)), point.value(("s", 2))
-        z = zcoh_localized(ranks, EvalContext(point, 2, 1))
+        z = coh_at(ranks, point, 1)
         assert z.coefficient(1) == (s1 + s2) / s2
 
     def test_rank11_coefficient_is_square(self):
         ranks = Ranks(1, 1)
         point = seeded_point(coh_variables(ranks), 3)
         s1, s2 = point.value(("s", 1)), point.value(("s", 2))
-        z = zcoh_localized(ranks, EvalContext(point, 3, 1))
+        z = coh_at(ranks, point, 1)
         assert z.coefficient(1) == (s1 + s2) ** 2 / (s1 * s2)
 
     @pytest.mark.parametrize("r1,r2", [(1, 0), (1, 1), (2, 1)])
     def test_localized_equals_binomial(self, r1, r2):
         ranks = Ranks(r1, r2)
-        ctx = EvalContext(seeded_point(coh_variables(ranks), 8), 8, 4)
-        assert zcoh_localized(ranks, ctx) == zcoh_closed(ranks, ctx)
+        point = seeded_point(coh_variables(ranks), 8)
+        assert coh_at(ranks, point, 4) == zcoh_closed(ranks, point, 4)
 
 
 class TestEulerCharSeries:
@@ -278,10 +283,3 @@ class TestEvalFormsPlumbing:
         for n in range(4):
             for bn in fixed_points(Ranks(2, 1), n):
                 assert table.fixed_point_weight(bn.lengths) == contribution(bn)
-
-    def test_eval_forms_equals_z_localized(self):
-        ranks = Ranks(1, 1)
-        ctx = full_context(ranks, seed=12, order=3)
-        assert eval_forms(localized_forms(ranks, 3), ctx.point) == z_localized(
-            ranks, ctx
-        )

@@ -1,6 +1,8 @@
 """Suite plumbing: reports, counterexample strings and rank grids."""
 
-from quotloc import suites
+import pytest
+
+from quotloc import series, suites
 from quotloc.chars import Character, Monomial, T1
 from quotloc.points import PointAssignment
 from quotloc.rational import rational
@@ -11,8 +13,11 @@ from quotloc.suites import (
     _series_check,
     ranks_up_to,
     suite_closed_form,
+    suite_cohomological,
     suite_cy_vanishing,
+    suite_factorization,
     suite_framing,
+    suite_no_twist,
     suite_oracle,
 )
 from quotloc.vertex import Ranks
@@ -89,5 +94,34 @@ def test_limits_convergence_is_strict(monkeypatch):
     monkeypatch.setattr(
         suites, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
     )
-    report = _limits_numeric_convergence(SuiteReport("limits"), Ranks(2, 2), 1)
+    report = SuiteReport("limits")
+    _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 6
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda n: suite_no_twist(det_ranks=(), order=3, num_points=n),
+        lambda n: suite_cohomological(order=3, num_points=n),
+        lambda n: suite_factorization(order=3, num_points=n),
+    ],
+    ids=["no-twist", "cohomological", "factorization"],
+)
+def test_tables_are_built_once_per_rank_pair(monkeypatch, suite):
+    """More evaluation points build no more blocks: each localized table is
+    built once per rank pair and only evaluated at the points."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return vertex_block(*args)
+
+    vertex_block = series.vertex_block
+    monkeypatch.setattr(series, "vertex_block", counting)
+    counts = []
+    for num_points in (1, 3):
+        calls.clear()
+        assert suite(num_points).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
