@@ -2,8 +2,9 @@
 pair of intersecting affine lines.
 
 The package enumerates torus fixed points, builds their virtual tangent
-characters, applies the K-theoretic and cohomological Euler operators and
-sums the resulting q-series — all in exact rational arithmetic — and
+characters, applies the K-theoretic Euler operator, evaluates the weights
+at K-theoretic, half-weight and cohomological points and sums the
+resulting q-series — all in exact rational arithmetic — and
 cross-verifies every closed formula the theory provides: the plethystic
 closed form, framing independence, the factorization into rank-one series,
 the half-weight twist, the cohomological limit, the vanishing on the
@@ -14,15 +15,10 @@ scheme of the affine plane.
 from .chars import (
     Character,
     FactoredForm,
-    LinearForm,
-    LinearFormProduct,
     Monomial,
     PoleAtPoint,
     TrivialDenominator,
-    TrivialWeight,
-    coh_euler,
     k_euler,
-    substitute_halfweights,
     t_var,
     u_var,
     var_name,
@@ -45,6 +41,7 @@ from .oracle import (
     taut_char,
 )
 from .points import (
+    LinearPoint,
     PointAssignment,
     PointExhausted,
     rational_stream,
@@ -56,7 +53,6 @@ from .series import (
     BlockTable,
     QSeries,
     binom_series,
-    coh_forms,
     cy_first_order,
     cy_first_order_closed,
     cy_order,
@@ -65,7 +61,7 @@ from .series import (
     half_weight_twist,
     localized_forms,
     plethystic_exp,
-    twisted_forms,
+    twisted_point,
     z_closed,
     z_rank1_product,
     zcoh_closed,
@@ -77,7 +73,6 @@ from .vertex import (
     Ranks,
     box_char,
     contribution,
-    det_char,
     fixed_points,
     q_char,
     smooth_tangent,

@@ -4,10 +4,11 @@ A :class:`Monomial` is an integer exponent vector over the torus variables
 ``t1, t2``, the framing variables ``w(i, alpha)`` and, for half-weight
 computations, ``u1, u2`` (with the convention ``u_i^2 = t_i``).  A
 :class:`Character` is a finite integer combination of monomials, i.e. a
-virtual torus representation.  The two Euler operators live here as well:
+virtual torus representation.  The Euler operator lives here as well:
 ``k_euler`` sends a character ``sum t^mu - sum t^nu`` to the factored form
-``prod (1 - t^-mu) / prod (1 - t^-nu)`` and ``coh_euler`` sends it to the
-product of linear weight forms ``prod (mu . s)``.
+``prod (1 - t^-mu) / prod (1 - t^-nu)``.  The half-weight and cohomological
+versions of a form are its values at transformed points (``t = u^2``, and
+``t^mu -> 1 + mu . s``, see :mod:`quotloc.points`), not separate forms.
 
 Everything is immutable and arithmetic is exact; equality of canonical
 forms is syntactic equality.
@@ -58,10 +59,6 @@ def var_name(var) -> str:
 
 class TrivialDenominator(ArithmeticError):
     """The trivial weight occurred with negative multiplicity under ``k_euler``."""
-
-
-class TrivialWeight(ArithmeticError):
-    """The trivial weight occurred where a nonzero linear form is required."""
 
 
 class PoleAtPoint(ArithmeticError):
@@ -273,10 +270,6 @@ class Character:
     def trivial_coefficient(self) -> int:
         return self._terms.get(_MONOMIAL_ONE, 0)
 
-    def map_monomials(self, fn) -> "Character":
-        """Apply a monomial map ``fn`` (a ring map on characters)."""
-        return Character((fn(m), c) for m, c in self._terms.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Character) and self._terms == other._terms
 
@@ -297,28 +290,6 @@ class Character:
                 bits.append(f"+ {c}*{m!r}")
         text = " ".join(bits)
         return text[2:] if text.startswith("+ ") else text
-
-
-def substitute_halfweights(character: Character) -> Character:
-    """Replace every ``t_i^e`` by ``u_i^(2e)``; framing variables pass through.
-
-    This realizes half-integer powers of ``t`` monomials inside the integral
-    exponent lattice of the ``u`` variables.  The input may contain only
-    ``t`` and ``w`` variables.
-    """
-
-    def to_u(m: Monomial) -> Monomial:
-        exps = []
-        for v, e in m.exponents():
-            if v[0] == "t":
-                exps.append((("u", v[1]), 2 * e))
-            elif v[0] == "w":
-                exps.append((v, e))
-            else:
-                raise ValueError(f"cannot substitute half-weights in {var_name(v)}")
-        return Monomial(exps)
-
-    return character.map_monomials(to_u)
 
 
 class FactoredForm:
@@ -384,14 +355,6 @@ class FactoredForm:
         out._zero = False
         return out
 
-    def inverse(self) -> "FactoredForm":
-        if self._zero:
-            raise ZeroDivisionError("the zero factored form has no inverse")
-        out = FactoredForm.__new__(FactoredForm)
-        out._factors = {m: -c for m, c in self._factors.items()}
-        out._zero = False
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FactoredForm)
@@ -451,147 +414,3 @@ def k_euler(character: Character) -> FactoredForm:
     if k0 > 0:
         return FactoredForm.zero()
     return form
-
-
-class LinearForm:
-    """An integer linear form ``mu . s`` in the cohomological variables.
-
-    The image of an irreducible character ``t1^a t2^b prod w^e`` is
-    ``a*s1 + b*s2 + sum e*v`` where ``s_i`` and ``v(i, alpha)`` generate the
-    equivariant cohomology of the point.
-    """
-
-    __slots__ = ("_coeffs", "_hash")
-
-    def __init__(self, coeffs: Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = tuple(sorted((v, int(c)) for v, c in items if c))
-        self._hash = hash(self._coeffs)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "LinearForm":
-        coeffs = []
-        for v, e in m.exponents():
-            if v[0] == "t":
-                coeffs.append((("s", v[1]), e))
-            elif v[0] == "w":
-                coeffs.append(((("v",) + v[1:]), e))
-            else:
-                raise ValueError(f"no cohomological variable for {var_name(v)}")
-        return cls(coeffs)
-
-    def coefficients(self) -> tuple:
-        return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def eval_point(self, point):
-        value = RAT_ZERO
-        for v, c in self._coeffs:
-            value += c * point.value(v)
-        return value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        bits = []
-        for v, c in self._coeffs:
-            name = var_name(v)
-            if c == 1:
-                bits.append(f"+ {name}")
-            elif c == -1:
-                bits.append(f"- {name}")
-            elif c < 0:
-                bits.append(f"- {-c}{name}")
-            else:
-                bits.append(f"+ {c}{name}")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else text
-
-
-class LinearFormProduct:
-    """A product ``prod (mu . s)^k`` of linear forms with integer powers.
-
-    The cohomological analogue of :class:`FactoredForm`.
-    """
-
-    __slots__ = ("_factors",)
-
-    def __init__(self, factors: Mapping | Iterable = ()):
-        data: dict[LinearForm, int] = {}
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        for form, c in items:
-            c = int(c)
-            if not c:
-                continue
-            acc = data.get(form, 0) + c
-            if acc:
-                data[form] = acc
-            else:
-                del data[form]
-        self._factors = data
-
-    def factors(self):
-        return self._factors.items()
-
-    def __mul__(self, other: "LinearFormProduct") -> "LinearFormProduct":
-        if not isinstance(other, LinearFormProduct):
-            return NotImplemented
-        data = dict(self._factors)
-        for f, c in other._factors.items():
-            acc = data.get(f, 0) + c
-            if acc:
-                data[f] = acc
-            else:
-                del data[f]
-        out = LinearFormProduct.__new__(LinearFormProduct)
-        out._factors = data
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearFormProduct) and self._factors == other._factors
-
-    __hash__ = None
-
-    def eval_point(self, point):
-        value = RAT_ONE
-        hit_zero = False
-        for form, c in self._factors.items():
-            f = form.eval_point(point)
-            if not f:
-                if c < 0:
-                    raise PoleAtPoint(f"linear form {form!r} vanishes at the point")
-                hit_zero = True
-            elif not hit_zero:
-                value = value * f if c == 1 else value * f**c
-        return RAT_ZERO if hit_zero else value
-
-    def __repr__(self) -> str:
-        if not self._factors:
-            return "1"
-        bits = []
-        for form, c in sorted(self._factors.items(), key=lambda fc: fc[0].coefficients()):
-            base = f"({form!r})"
-            bits.append(base if c == 1 else f"{base}^{c}")
-        return "*".join(bits)
-
-
-def coh_euler(character: Character) -> LinearFormProduct:
-    """The cohomological Euler operator: ``t^mu`` maps to the linear form
-    ``mu . s`` and sums map to products with signed powers.
-
-    The trivial weight has the zero linear form and is rejected.
-    """
-    if character.trivial_coefficient():
-        raise TrivialWeight("trivial weight has the zero linear form")
-    return LinearFormProduct(
-        (LinearForm.from_monomial(m), c) for m, c in character.items()
-    )

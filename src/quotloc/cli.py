@@ -227,6 +227,8 @@ def _validate(parser, args) -> RunConfig:
         parser.error("order must be nonnegative")
     if cfg.num_points is not None and cfg.num_points < 1:
         parser.error("num-points must be at least 1")
+    if suite is not None and cfg.num_points is not None and not SUITE_KEYWORDS[suite][2]:
+        parser.error(f"the {suite} suite takes no --num-points")
     if cfg.suite == "smooth-chi-y" and cfg.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
     if cfg.suite == "limits" and cfg.ranks() is not None and cfg.ranks().total < 2:

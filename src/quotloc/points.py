@@ -67,6 +67,10 @@ class PointAssignment:
         vals.update(overrides)
         return PointAssignment(vals)
 
+    def linearized(self) -> "LinearPoint":
+        """The same ``(s, v)`` values, read as a cohomological point."""
+        return LinearPoint(self._values)
+
     def scale_group(self, kind: str, factor) -> "PointAssignment":
         """A copy with every variable of the given kind scaled by ``factor``."""
         return PointAssignment(
@@ -76,6 +80,31 @@ class PointAssignment:
     def __repr__(self) -> str:
         inner = ", ".join(f"{var_name(v)}={q}" for v, q in self.items())
         return f"point({inner})"
+
+
+_LINEAR_KIND = {"t": "s", "w": "v"}
+
+
+class LinearPoint(PointAssignment):
+    """A point of equivariant cohomology at which K-theoretic forms are read.
+
+    The value of ``t^mu`` is ``1 + mu . s``, with ``t_i`` read as ``s_i`` and
+    ``w(i, alpha)`` as ``v(i, alpha)``.  A factor ``1 - t^-mu`` then takes
+    the value ``mu . s``, so a factored form ``k_euler(-T)`` evaluates to the
+    cohomological residue ``1 / e(T)``, with the same zeros and poles.
+    """
+
+    __slots__ = ()
+
+    def monomial_value(self, monomial):
+        memo = self._memo
+        got = memo.get(monomial)
+        if got is None:
+            got = rational(1)
+            for v, e in monomial.exponents():
+                got += e * self._values[(_LINEAR_KIND[v[0]],) + v[1:]]
+            memo[monomial] = got
+        return got
 
 
 def rational_stream(seed: int) -> Iterator:

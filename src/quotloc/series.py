@@ -19,9 +19,7 @@ from .chars import (
     FactoredForm,
     Monomial,
     PoleAtPoint,
-    coh_euler,
     k_euler,
-    substitute_halfweights,
     t_var,
     u_var,
 )
@@ -157,7 +155,7 @@ class BlockTable:
     A fixed point puts one state on each of ``slots`` framing slots (a length
     on the lines, a Young diagram on the plane; ``states(n)`` lists those of
     size ``n``).  Its tangent character is the sum of its blocks and the
-    Euler operators are multiplicative, so its weight is the product over
+    Euler operator is multiplicative, so its weight is the product over
     ordered slot pairs of ``block(a, b, state_a, state_b)``, which is ``None``
     for the zero class.  Block weights are built once per table.
     """
@@ -293,15 +291,16 @@ def half_weight_twist(ranks: Ranks) -> Monomial:
     """The square root of the determinant twist at degree one, written in
     the ``u`` variables: ``(t1^r1 t2^r2)^(-1/2) = u1^-r1 u2^-r2``.  Degree
     ``n`` takes its ``n``-th power, so the twisted series at ``p`` is
-    ``eval_forms(twisted_forms(ranks, order), p)`` with ``q`` scaled by this
-    monomial's value at ``p``."""
+    ``eval_forms(localized_forms(ranks, order), twisted_point(p))`` with
+    ``q`` scaled by this monomial's value at ``p``."""
     return Monomial([(u_var(1), -ranks.r1), (u_var(2), -ranks.r2)])
 
 
-def twisted_forms(ranks: Ranks, order: int) -> BlockTable:
-    """The untwisted weights ``k_euler(-T)`` of the twisted series, with
-    every ``t`` written in the ``u`` variables (``t = u^2``)."""
-    return line_table(ranks, order, lambda block: k_euler(-substitute_halfweights(block)))
+def twisted_point(point: PointAssignment) -> PointAssignment:
+    """The point ``t_i = u_i^2`` of a ``(u, w)`` point, at which the
+    localized weights take their half-weight values."""
+    u1, u2 = point.value(u_var(1)), point.value(u_var(2))
+    return point.with_values({T1: u1**2, T2: u2**2})
 
 
 def zhat_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
@@ -332,13 +331,10 @@ def zhat_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
 
 
 def coh_variables(ranks: Ranks) -> tuple:
-    """The equivariant cohomology variables ``s1, s2`` and ``v(i, alpha)``."""
+    """The equivariant cohomology variables ``s1, s2`` and ``v(i, alpha)``;
+    the cohomological series at ``p`` is
+    ``eval_forms(localized_forms(ranks, order), p.linearized())``."""
     return (("s", 1), ("s", 2)) + tuple(("v", i, a) for i, a in ranks.slots())
-
-
-def coh_forms(ranks: Ranks, order: int) -> BlockTable:
-    """The cohomological residues ``1 / e(T)``; a point assigns ``s`` and ``v``."""
-    return line_table(ranks, order, lambda block: coh_euler(-block))
 
 
 def zcoh_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:

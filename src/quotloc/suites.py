@@ -35,7 +35,6 @@ from .points import draw_point, rational_stream, retry_points
 from .rational import rat_str, rational
 from .series import (
     QSeries,
-    coh_forms,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
@@ -44,7 +43,7 @@ from .series import (
     euler_char_series,
     half_weight_twist,
     localized_forms,
-    twisted_forms,
+    twisted_point,
     z_closed,
     z_rank1_product,
     zcoh_closed,
@@ -54,7 +53,6 @@ from .vertex import (
     FixedPoint,
     Ranks,
     contribution,
-    det_char,
     fixed_points,
     smooth_tangent,
     vertex_block,
@@ -325,10 +323,10 @@ def suite_cohomological(ranks_list=COH_RANKS, order=4, num_points=5, seed=1):
     """Cohomological residues equal the binomial closed form."""
     report = SuiteReport("cohomological")
     for ranks in ranks_list:
-        forms = coh_forms(ranks, order)
+        forms = localized_forms(ranks, order)
         _compare_at_points(
             report, f"cohomological r={ranks.r1},{ranks.r2}", coh_variables(ranks),
-            lambda p: eval_forms(forms, p), lambda p: zcoh_closed(ranks, p, order),
+            lambda p: eval_forms(forms, p.linearized()), lambda p: zcoh_closed(ranks, p, order),
             num_points, seed,
         )
     return report
@@ -344,16 +342,16 @@ def suite_no_twist(
         for n in range(det_len + 1):
             expected = Monomial([(T1, n * ranks.r1), (T2, n * ranks.r2)])
             for bn in fixed_points(ranks, n):
-                got = det_char(vertex_term(bn))
+                got = vertex_term(bn).det()
                 report.check(
                     got == expected,
                     f"det tangent at {bn} is {got!r} != {expected!r}",
                 )
     for ranks in ranks_list:
-        forms, twist = twisted_forms(ranks, order), half_weight_twist(ranks)
+        forms, twist = localized_forms(ranks, order), half_weight_twist(ranks)
         _compare_at_points(
             report, f"twisted r={ranks.r1},{ranks.r2}", (u_var(1), u_var(2)) + ranks.w_vars(),
-            lambda p: eval_forms(forms, p).scale_q(p.monomial_value(twist)),
+            lambda p: eval_forms(forms, twisted_point(p)).scale_q(p.monomial_value(twist)),
             lambda p: zhat_closed(ranks, p, order), num_points, seed,
         )
     return report

@@ -192,11 +192,6 @@ def vertex_blocks_sum(bn: FixedPoint) -> Character:
     return total
 
 
-def det_char(character: Character) -> Monomial:
-    """Determinant of a virtual character: the product of its weights."""
-    return character.det()
-
-
 def smooth_tangent(bn: FixedPoint) -> Character:
     """Tangent character of the smooth one-line Quot scheme (``r1 = 0``):
     ``T = bar(K_2) Q - (1 - t1^-1) Q bar(Q)``."""

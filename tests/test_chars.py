@@ -1,5 +1,5 @@
-"""Character algebra: monomials, the bar involution, the Euler operators
-and the evaluation homomorphisms."""
+"""Character algebra: monomials, the bar involution, the Euler operator
+and its evaluation at K-theoretic, half-weight and cohomological points."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,22 +8,20 @@ from hypothesis import strategies as st
 from quotloc.chars import (
     Character,
     FactoredForm,
-    LinearForm,
-    LinearFormProduct,
     Monomial,
     PoleAtPoint,
     T1,
     T2,
+    U1,
+    U2,
     TrivialDenominator,
-    TrivialWeight,
-    coh_euler,
     k_euler,
-    substitute_halfweights,
     u_var,
     w_var,
 )
-from quotloc.points import PointAssignment
+from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
+from quotloc.series import twisted_point
 
 from strategies import characters, monomials, nonzero_rationals
 
@@ -121,7 +119,7 @@ class TestKEuler:
 
     @given(characters(allow_trivial=False))
     def test_inverse_of_negation(self, c):
-        assert k_euler(-c) == k_euler(c).inverse()
+        assert k_euler(-c) * k_euler(c) == FactoredForm.one()
 
 
 class TestEvalPoint:
@@ -162,17 +160,23 @@ class TestEvalPoint:
 
 
 class TestHalfWeights:
+    """The twisted point ``t_i = u_i^2`` evaluates ``t`` monomials in the
+    ``u`` variables; framing variables keep their values."""
+
+    point = PointAssignment(
+        {U1: rational(2), U2: rational(3, 5), w_var(1, 1): rational(7, 4)}
+    )
+
     def test_single_variable(self):
-        assert substitute_halfweights(char((t1, 1))) == char((Monomial.var(u_var(1), 2), 1))
+        assert twisted_point(self.point).monomial_value(t1) == rational(4)
 
     def test_mixed(self):
-        got = substitute_halfweights(char((t1 * t2.inverse(), 1)))
-        expect = char((Monomial({u_var(1): 2, u_var(2): -2}), 1))
-        assert got == expect
+        got = twisted_point(self.point).monomial_value(t1 * t2.inverse())
+        assert got == rational(4) / rational(9, 25)
 
     def test_framing_passthrough(self):
-        got = substitute_halfweights(char((t1 * w11, 1)))
-        assert got == char((Monomial({u_var(1): 2, w_var(1, 1): 1}), 1))
+        got = twisted_point(self.point).monomial_value(t1 * w11)
+        assert got == rational(4) * rational(7, 4)
 
     def test_twist_monomial(self):
         from quotloc.series import half_weight_twist
@@ -182,46 +186,46 @@ class TestHalfWeights:
             {u_var(1): -6, u_var(2): -3}
         )
 
-    def test_rejects_u_input(self):
-        with pytest.raises(ValueError):
-            substitute_halfweights(char((Monomial.var(u_var(1)), 1)))
-
-    @given(characters(), characters())
-    def test_ring_map(self, a, b):
-        sub = substitute_halfweights
-        assert sub(a * b) == sub(a) * sub(b)
-        assert sub(a + b) == sub(a) + sub(b)
+    @given(monomials(), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_ring_map(self, m, seed):
+        variables = (U1, U2, w_var(1, 1), w_var(1, 2), w_var(2, 1))
+        p = seeded_point(variables, seed)
+        expect = (
+            p.value(U1) ** (2 * m.exponent(T1))
+            * p.value(U2) ** (2 * m.exponent(T2))
+            * p.monomial_value(m.restrict(lambda v: v[0] == "w"))
+        )
+        assert twisted_point(p).monomial_value(m) == expect
 
 
 class TestCohEuler:
+    """``k_euler`` read at a cohomological point: ``1 - t^-mu`` takes the
+    value ``mu . s``."""
+
     def test_linear_form_of_mixed_weight(self):
         m = Monomial({T1: 2, T2: 1, w_var(1, 1): -1})
-        form = coh_euler(Character.from_monomial(m))
-        expect = LinearFormProduct(
-            [(LinearForm([(("s", 1), 2), (("s", 2), 1), (("v", 1, 1), -1)]), 1)]
+        p = PointAssignment(
+            {("s", 1): rational(3), ("s", 2): rational(5, 2), ("v", 1, 1): rational(1, 7)}
         )
-        assert form == expect
+        got = k_euler(Character.from_monomial(m)).eval_point(p.linearized())
+        assert got == 2 * rational(3) + rational(5, 2) - rational(1, 7)
 
     def test_quotient_of_forms(self):
-        form = coh_euler(char((t1, 1), (t2, -1)))
-        s1 = LinearForm([(("s", 1), 1)])
-        s2 = LinearForm([(("s", 2), 1)])
-        assert form == LinearFormProduct([(s1, 1), (s2, -1)])
-
-    def test_trivial_weight_raises(self):
-        with pytest.raises(TrivialWeight):
-            coh_euler(Character.one())
+        p = seeded_point((("s", 1), ("s", 2)), 5)
+        got = k_euler(char((t1, 1), (t2, -1))).eval_point(p.linearized())
+        assert got == p.value(("s", 1)) / p.value(("s", 2))
 
     def test_eval(self):
-        form = coh_euler(char((t1, 1), (t2, -1)))
+        form = k_euler(char((t1, 1), (t2, -1)))
         p = PointAssignment({("s", 1): rational(2), ("s", 2): rational(5)})
-        assert form.eval_point(p) == rational(2, 5)
+        assert form.eval_point(p.linearized()) == rational(2, 5)
 
     def test_pole_on_vanishing_form(self):
-        form = coh_euler(char((t1 * t2, -1)))
+        form = k_euler(char((t1 * t2, -1)))
         p = PointAssignment({("s", 1): rational(2), ("s", 2): rational(-2)})
         with pytest.raises(PoleAtPoint):
-            form.eval_point(p)
+            form.eval_point(p.linearized())
 
 
 class TestUniformScaling:

@@ -106,6 +106,15 @@ class TestVerify:
             main(["verify", "limits"] + ranks)
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("suite", ["limits", "euler-count", "smooth-chi-y"])
+    def test_num_points_rejected_where_no_suite_reads_it(self, suite, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--num-points", "3"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes no --num-points" in captured.err
+
     @pytest.mark.parametrize(
         "args",
         [["cy-vanishing", "--order", "0"], ["framing", "--num-points", "1"]],

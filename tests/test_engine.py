@@ -19,9 +19,6 @@ from quotloc.chars import (
     U2,
     Monomial,
     PoleAtPoint,
-    coh_euler,
-    k_euler,
-    substitute_halfweights,
 )
 from quotloc.limits import block_limit, limit_table
 from quotloc.oracle import oracle_contribution, oracle_forms, partition_tuples
@@ -29,27 +26,36 @@ from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import ZERO, rational
 from quotloc.series import (
     QSeries,
-    coh_forms,
     coh_variables,
     eval_forms,
     half_weight_twist,
     localized_forms,
-    twisted_forms,
+    twisted_point,
 )
 from quotloc.suites import ranks_up_to
-from quotloc.vertex import contribution, fixed_points, vertex_term
+from quotloc.vertex import contribution, fixed_points
 
 S1, S2 = ("s", 1), ("s", 2)
 
 
-def reference_sum(order, items, weight, twist=lambda n: Monomial.one()):
+def same(point):
+    return point
+
+
+def reference_sum(order, items, weight, at=same, twist=lambda n: Monomial.one()):
     """The reference series as a function of the point: every fixed point's
-    whole weight is built once; degree ``n`` is multiplied by ``twist(n)``."""
+    whole weight is built once and evaluated at ``at(point)``; degree ``n``
+    is multiplied by ``twist(n)`` at the point itself."""
     forms = [[weight(x) for x in items(n)] for n in range(order + 1)]
-    return lambda point: QSeries(
-        sum((f.eval_point(point) for f in fs), start=ZERO) * point.monomial_value(twist(n))
-        for n, fs in enumerate(forms)
-    )
+
+    def series(point):
+        here = at(point)
+        return QSeries(
+            sum((f.eval_point(here) for f in fs), start=ZERO) * point.monomial_value(twist(n))
+            for n, fs in enumerate(forms)
+        )
+
+    return series
 
 
 def ref_localized(ranks, order):
@@ -61,14 +67,16 @@ def ref_oracle(ranks, order):
 
 
 def ref_twisted(ranks, order):
-    weight = lambda bn: k_euler(-substitute_halfweights(vertex_term(bn)))
     twist = lambda n: half_weight_twist(ranks) ** n
-    return reference_sum(order, lambda n: fixed_points(ranks, n), weight, twist)
+    return reference_sum(
+        order, lambda n: fixed_points(ranks, n), contribution, twisted_point, twist
+    )
 
 
 def ref_cohomological(ranks, order):
-    weight = lambda bn: coh_euler(-vertex_term(bn))
-    return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
+    return reference_sum(
+        order, lambda n: fixed_points(ranks, n), contribution, PointAssignment.linearized
+    )
 
 
 def ref_limits(ranks, order):
@@ -87,18 +95,20 @@ def ref_limits(ranks, order):
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
 
 
-def evaluated(builder):
-    """The engine side of a sum: its table, built once, through ``eval_forms``."""
+def evaluated(builder, at=same):
+    """The engine side of a sum: its table, built once, evaluated through
+    ``eval_forms`` at ``at(point)``."""
 
     def sum_at(ranks, order):
         table = builder(ranks, order)
-        return lambda point: eval_forms(table, point)
+        return lambda point: eval_forms(table, at(point))
 
     return sum_at
 
 
 def twisted_sum(ranks, order):
-    untwisted, twist = evaluated(twisted_forms)(ranks, order), half_weight_twist(ranks)
+    untwisted = evaluated(localized_forms, twisted_point)(ranks, order)
+    twist = half_weight_twist(ranks)
     return lambda point: untwisted(point).scale_q(point.monomial_value(twist))
 
 
@@ -119,7 +129,10 @@ SUMS = {
     "localized": (evaluated(localized_forms), ref_localized, plane_vars, (T1, T2), "w"),
     "oracle": (evaluated(oracle_forms), ref_oracle, plane_vars, (T1, T2), "w"),
     "twisted": (twisted_sum, ref_twisted, twisted_vars, (U1, U2), "w"),
-    "cohomological": (evaluated(coh_forms), ref_cohomological, coh_variables, (S1, S2), "v"),
+    "cohomological": (
+        evaluated(localized_forms, PointAssignment.linearized),
+        ref_cohomological, coh_variables, (S1, S2), "v",
+    ),
     "limits": (evaluated(limit_table), ref_limits, limit_vars, (T1, T2), None),
 }
 

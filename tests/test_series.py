@@ -13,7 +13,6 @@ from quotloc.rational import rational
 from quotloc.series import (
     QSeries,
     binom_series,
-    coh_forms,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
@@ -23,7 +22,7 @@ from quotloc.series import (
     half_weight_twist,
     localized_forms,
     plethystic_exp,
-    twisted_forms,
+    twisted_point,
     z_closed,
     z_rank1_product,
     zcoh_closed,
@@ -41,11 +40,11 @@ def localized_at(ranks, point, order):
 
 def twisted_at(ranks, point, order):
     twist = point.monomial_value(half_weight_twist(ranks))
-    return eval_forms(twisted_forms(ranks, order), point).scale_q(twist)
+    return eval_forms(localized_forms(ranks, order), twisted_point(point)).scale_q(twist)
 
 
 def coh_at(ranks, point, order):
-    return eval_forms(coh_forms(ranks, order), point)
+    return eval_forms(localized_forms(ranks, order), point.linearized())
 
 
 def t_point(seed=1, t1=None, t2=None):

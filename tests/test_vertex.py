@@ -15,7 +15,6 @@ from quotloc.vertex import (
     box_char,
     compositions,
     contribution,
-    det_char,
     fixed_points,
     framing_char,
     q_char,
@@ -167,17 +166,13 @@ class TestVertexBlocks:
 
 
 class TestDetChar:
-    def test_examples(self):
-        assert det_char(Character([(t2.inverse(), 1), ((t1 * t2).inverse(), -1)])) == t1
-        assert det_char(Character.zero()) == Monomial.one()
-
     @given(st.integers(0, 2**32))
     @settings(max_examples=60)
     def test_twist_monomial(self, seed):
         bn = random_fixed_point(random.Random(seed), max_total=4, max_size=5)
         n, r = bn.size, bn.ranks
         expect = Monomial({T1: n * r.r1, T2: n * r.r2})
-        assert det_char(vertex_term(bn)) == expect
+        assert vertex_term(bn).det() == expect
 
 
 class TestSmoothTangent:
