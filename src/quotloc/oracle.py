@@ -15,8 +15,8 @@ fixed-point combinatorics on the two sides are completely different.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .chars import T1, T2, Character, FactoredForm, Monomial, k_euler, t_var, w_var
@@ -70,7 +70,7 @@ class PartitionTuple:
         return "(" + "|".join(str(d) for d in self.diagrams) + ")"
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
     """All partitions of ``n``, largest first part first."""
     if n == 0:
@@ -123,11 +123,6 @@ def plane_q_char(tup: PartitionTuple) -> Character:
     )
 
 
-def plane_framing_char(ranks: Ranks) -> Character:
-    """The total framing character ``K = sum w(i, alpha)``."""
-    return Character((Monomial.var(w_var(i, a)), 1) for i, a in ranks.slots())
-
-
 # E = t1^-1 + t2^-1 - 1 - t1^-1 t2^-1, the Q bar(Q) coefficient of the tangent
 ENVELOPE = Character(
     (Monomial([(T1, a), (T2, b)]), c) for a, b, c in ((-1, 0, 1), (0, -1, 1), (0, 0, -1), (-1, -1, -1))
@@ -140,7 +135,7 @@ def plane_tvir(tup: PartitionTuple) -> Character:
     q = plane_q_char(tup)
     if q.is_zero:
         return Character.zero()
-    k = plane_framing_char(tup.ranks)
+    k = Character((Monomial.var(w), 1) for w in tup.ranks.w_vars())  # K = sum w(i, alpha)
     term = k.bar() * q + ENVELOPE * (q * q.bar())
     if term.trivial_coefficient():
         raise MovabilityViolation(f"trivial weight in plane tangent at {tup}")
@@ -165,22 +160,47 @@ def oracle_contribution(tup: PartitionTuple) -> FactoredForm:
     return k_euler(taut_char(tup)) * k_euler(-plane_tvir(tup))
 
 
-def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
-    """The oracle weights as a block table over Young diagrams; its sum must
-    agree coefficientwise with the intersecting-lines localization.  Block
-    ``(a, b)`` is the pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w (Z_b + E
-    Z_b bar(Z_a)))`` with ``w = w_a^-1 w_b`` and ``i`` the line of slot ``a``;
-    ``None`` when the insertion is the zero class."""
-    slots = ranks.slots()
+def pair_tangent(lam_a: Partition, lam_b: Partition) -> Character:
+    """``P = Z_b + E Z_b bar(Z_a)``: block ``(a, b)`` of the plane tangent is ``w_a^-1 w_b P``."""
+    z_b = diagram_char(lam_b)
+    return z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())
 
-    def block(a, b, lam_a, lam_b):
-        (i, alpha), (j, beta) = slots[a], slots[b]
+
+class PlaneBlocks:
+    """The block function of the oracle table of one rank pair; ``P`` is
+    built once per diagram pair."""
+
+    def __init__(self, ranks: Ranks):
+        self.frame = ranks.slots()
+        self.tangent = functools.cache(pair_tangent)
+
+    def __call__(self, a, b, lam_a, lam_b):
+        """The pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``, ``i`` the line
+        of slot ``a``; ``None`` when the insertion is the zero class."""
+        (i, alpha), (j, beta) = self.frame[a], self.frame[b]
         w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
-        z_b = diagram_char(lam_b)
-        insertion = k_euler(z_b * (w * Monomial.var(t_var(i), -1)))
+        insertion = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
         if insertion.is_zero:
             return None
-        tangent = (z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())) * w
-        return insertion * k_euler(-tangent)
+        return insertion * k_euler(-(self.tangent(lam_a, lam_b) * w))
 
-    return BlockTable(len(slots), order, partitions, block)
+    def invariants(self, key) -> tuple:
+        """Rank and trivial coefficient of the tangent block ``w P`` and rank of the
+        insertion block (one term per box of ``lam_b``).  Only a diagonal block can hold
+        the trivial weight: ``P`` is pure ``t``, and off the diagonal ``w != 1``."""
+        a, b, lam_a, lam_b = key
+        p = self.tangent(lam_a, lam_b)
+        return p.rank(), p.trivial_coefficient() if a == b else 0, lam_b.size
+
+
+def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
+    """The oracle weights as a block table over Young diagrams; its sum must
+    agree coefficientwise with the intersecting-lines localization."""
+    return BlockTable(ranks.total, order, partitions, PlaneBlocks(ranks))
+
+
+def plane_invariants(table: BlockTable):
+    """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every
+    diagram tuple of an :func:`oracle_forms` table, folded over its blocks (all add)."""
+    add = lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2])
+    return table.fold(table.block.invariants, add, (0, 0, 0))

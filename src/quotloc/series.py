@@ -9,8 +9,10 @@ it holds coefficient by coefficient as exact rational identities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Callable, Iterable
 
 from .chars import (
@@ -40,12 +42,8 @@ class QSeries:
             raise ValueError("a truncated series needs at least the q^0 term")
 
     @classmethod
-    def constant(cls, value, order: int) -> "QSeries":
-        return cls((value,) + (RAT_ZERO,) * order)
-
-    @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls.constant(RAT_ONE, order)
+        return cls((RAT_ONE,) + (RAT_ZERO,) * order)
 
     @property
     def order(self) -> int:
@@ -176,29 +174,14 @@ class BlockTable:
         blocks = [self.weight(a, b, s_a, s_b) for (a, s_a), (b, s_b) in pairs]
         return None if any(w is None for w in blocks) else math.prod(blocks[1:], start=blocks[0])
 
-    def coefficients(self, point: PointAssignment) -> QSeries:
-        """The sum of the weights of each degree at ``point``.
-
-        Fixed points are enumerated slot by slot with the product of the
-        blocks chosen so far; a zero-class block prunes its branch.  Block
-        values are kept for this call only.  A fixed point with a block that
-        vanishes or has a pole here is evaluated whole, since one factor can
-        sit in two blocks with opposite signs: so zeros and
-        :class:`PoleAtPoint` are exactly those of the merged weights.
-        """
-        values = {}  # None: zero class; 0: vanishes or has a pole here
-        totals = [RAT_ZERO] * (self.order + 1)
-
-        def value(key):
-            if key not in values:
-                w = self.weight(*key)
-                try:
-                    values[key] = w if w is None else w.eval_point(point)
-                except PoleAtPoint:
-                    values[key] = RAT_ZERO
-            return values[key]
-
-        stack = [((), 0, RAT_ONE)]  # (states of the first slots, their size, product)
+    def fold(self, value, combine, start):
+        """Yield ``(states, size, acc)`` for every fixed point up to the order with no
+        block of value ``None``; ``acc`` combines ``start`` with its block values.  Fixed
+        points are enumerated slot by slot, each prefix carrying the combination of its
+        blocks, so a ``None`` block prunes its branch.  ``value(key)`` is called once per
+        block key per call."""
+        values = {}
+        stack = [((), 0, start)]  # (states of the first slots, their size, accumulation)
         while stack:
             states, size, prefix = stack.pop()
             k = len(states)
@@ -207,16 +190,37 @@ class BlockTable:
                     keys = [(k, k, s, s)]
                     for j, s_j in enumerate(states):
                         keys += [(j, k, s_j, s), (k, j, s, s_j)]
-                    blocks = [value(key) for key in keys]
+                    for key in keys:
+                        if key not in values:
+                            values[key] = value(key)
+                    blocks = [values[key] for key in keys]
                     if any(x is None for x in blocks):
                         continue
-                    v = math.prod(blocks, start=prefix)
+                    acc = functools.reduce(combine, blocks, prefix)
                     here = states + (s,)
                     if k + 1 < self.slots:
-                        stack.append((here, size + m, v))
+                        stack.append((here, size + m, acc))
                     else:
-                        totals[size + m] += v or self.fixed_point_weight(here).eval_point(point)
+                        yield here, size + m, acc
 
+    def coefficients(self, point: PointAssignment) -> QSeries:
+        """The sum of the weights of each degree at ``point``: a :meth:`fold`
+        of block values by products.  A fixed point with a block that
+        vanishes or has a pole here is evaluated whole, since one factor can
+        sit in two blocks with opposite signs: so zeros and
+        :class:`PoleAtPoint` are exactly those of the merged weights.
+        """
+        totals = [RAT_ZERO] * (self.order + 1)
+
+        def value(key):  # None: zero class; 0: vanishes or has a pole here
+            w = self.weight(*key)
+            try:
+                return w if w is None else w.eval_point(point)
+            except PoleAtPoint:
+                return RAT_ZERO
+
+        for states, size, v in self.fold(value, operator.mul, RAT_ONE):
+            totals[size] += v or self.fixed_point_weight(states).eval_point(point)
         return QSeries(totals)
 
 
@@ -376,6 +380,12 @@ def cy_order(form: FactoredForm) -> int:
     of fixed points are never the zero form (movability).
     """
     return sum(c for m, c in form.factors() if diagonal_power(m))
+
+
+def weight_det(form: FactoredForm) -> Monomial:
+    """``det T`` of the character ``T`` whose weight is ``form = k_euler(-T)``:
+    ``prod m^k`` over the factors ``(m, k)``."""
+    return math.prod((m**k for m, k in form.factors()), start=Monomial.one())
 
 
 def cy_first_order(forms: list, rest_point: PointAssignment):

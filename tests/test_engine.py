@@ -5,6 +5,8 @@ evaluated through ``eval_forms``; the references rebuild each fixed
 point's whole character (``vertex_term``, ``plane_tvir``, ``taut_char``) and
 evaluate its weight.  At generic points both sides give the same series; at
 degenerate points they give the same series or both raise ``PoleAtPoint``.
+The symbolic invariants folded over a table's blocks (ranks, trivial
+coefficient, det) equal those of the whole characters.
 """
 
 import itertools
@@ -21,7 +23,14 @@ from quotloc.chars import (
     PoleAtPoint,
 )
 from quotloc.limits import block_limit, limit_table
-from quotloc.oracle import oracle_contribution, oracle_forms, partition_tuples
+from quotloc.oracle import (
+    oracle_contribution,
+    oracle_forms,
+    partition_tuples,
+    plane_invariants,
+    plane_tvir,
+    taut_char,
+)
 from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import ZERO, rational
 from quotloc.series import (
@@ -31,9 +40,10 @@ from quotloc.series import (
     half_weight_twist,
     localized_forms,
     twisted_point,
+    weight_det,
 )
 from quotloc.suites import ranks_up_to
-from quotloc.vertex import contribution, fixed_points
+from quotloc.vertex import contribution, fixed_points, vertex_term
 
 S1, S2 = ("s", 1), ("s", 2)
 
@@ -191,13 +201,59 @@ def test_engine_matches_reference_at_degenerate_points(name):
     assert 0 < poles < cases
 
 
+def folded_once(table, value, combine, start, items):
+    """``table.fold`` as a map ``states -> acc``, after checking that it
+    yields each element of ``items(n)`` exactly once, at degree ``n``."""
+    folded = list(table.fold(value, combine, start))
+    for n in range(table.order + 1):
+        got = [states for states, size, _ in folded if size == n]
+        assert len(got) == len(set(got)) and set(got) == set(items(n)), n
+    return {states: acc for states, _, acc in folded}
+
+
 def test_oracle_block_products_equal_oracle_contribution():
     """Symbolically, the product of a diagram tuple's pair factors is its
-    whole weight, and ``None`` exactly for the zero class."""
+    whole weight, and ``None`` exactly for the zero class; the ranks and the
+    trivial coefficient folded over the blocks are those of ``plane_tvir``
+    and ``taut_char``."""
     for ranks in ranks_up_to(3):
         table = oracle_forms(ranks, 4)
+        folded = {diagrams: acc for diagrams, _, acc in plane_invariants(table)}
+        assert len(folded) == sum(len(partition_tuples(ranks, n)) for n in range(5))
         for n in range(5):
             for tup in partition_tuples(ranks, n):
                 want = oracle_contribution(tup)
                 got = table.fixed_point_weight(tup.diagrams)
                 assert (got is None) if want.is_zero else got == want
+                tvir = plane_tvir(tup)
+                assert folded[tup.diagrams] == (
+                    tvir.rank(), tvir.trivial_coefficient(), taut_char(tup).rank()
+                )
+
+
+def test_folded_det_equals_vertex_term_det():
+    """The det folded over the blocks of a localized table is
+    ``vertex_term(bn).det()``, for total rank <= 4 and size <= 4; the fold
+    yields every fixed point (and, on the oracle table, every diagram
+    tuple) exactly once, at its degree."""
+    for ranks in ranks_up_to(4):
+        table = localized_forms(ranks, 4)
+        dets = folded_once(
+            table,
+            lambda key: weight_det(table.weight(*key)),
+            lambda x, y: x * y,
+            Monomial.one(),
+            lambda n: [bn.lengths for bn in fixed_points(ranks, n)],
+        )
+        for n in range(5):
+            for bn in fixed_points(ranks, n):
+                assert dets[bn.lengths] == vertex_term(bn).det(), bn
+    for ranks in ranks_up_to(3):
+        plane = oracle_forms(ranks, 4)
+        folded_once(
+            plane,
+            lambda key: 1,
+            lambda x, y: x + y,
+            0,
+            lambda n: [tup.diagrams for tup in partition_tuples(ranks, n)],
+        )

@@ -2,8 +2,8 @@
 
 import pytest
 
-from quotloc import series, suites
-from quotloc.chars import Character, Monomial, T1
+from quotloc import oracle, series, suites
+from quotloc.chars import Character, Monomial, T1, w_var
 from quotloc.points import PointAssignment
 from quotloc.rational import rational
 from quotloc.series import QSeries
@@ -97,6 +97,44 @@ def test_limits_convergence_is_strict(monkeypatch):
     report = SuiteReport("limits")
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 6
+
+
+def test_limits_convergence_needs_the_expected_rate(monkeypatch):
+    """A block whose gap shrinks only at the rate of the two slowest slots,
+    ``big^-(8 - 1)``, converges too slowly for every other slot pair."""
+    slowest = Monomial([(w_var(1, 1), -1), (w_var(1, 2), 1)])
+    monkeypatch.setattr(suites, "vertex_block", lambda *args: Character.from_monomial(slowest))
+    report = SuiteReport("limits")
+    _limits_numeric_convergence(report, Ranks(2, 2), 1)
+    assert report.checks == 6 and len(report.failures) == 5
+    assert all("no convergence" in f for f in report.failures)
+
+
+def test_oracle_reports_trivial_plane_weight(monkeypatch):
+    """A trivial weight in a diagonal tangent block fails the check of each
+    tuple that holds it, naming the tuple, instead of raising."""
+    invariants = oracle.PlaneBlocks.invariants
+
+    def perturbed(self, key):
+        rank, trivial, taut_rank = invariants(self, key)
+        a, b, lam_a, _ = key
+        return rank, trivial + (a == b == 0 and lam_a.size == 1), taut_rank
+
+    monkeypatch.setattr(oracle.PlaneBlocks, "invariants", perturbed)
+    report = suite_oracle(ranks_list=(Ranks(3, 0),), order=1, num_points=1)
+    assert report.checks == 9
+    assert report.failures == ["plane tangent at ([1]|[]|[]) has a trivial weight"]
+
+
+def test_no_twist_reports_wrong_det(monkeypatch):
+    """A block det off by ``t1`` fails every det check, naming the fixed
+    point, the det and the expected monomial."""
+    det = suites.weight_det
+    monkeypatch.setattr(suites, "weight_det", lambda form: det(form) * Monomial.var(T1))
+    report = suite_no_twist(det_ranks=(Ranks(1, 1),), det_len=1, ranks_list=())
+    assert report.checks == 3 and len(report.failures) == 3
+    assert report.failures[0] == "det tangent at (0|0) is t1^4 != 1"
+    assert report.failures[1] == "det tangent at (1|0) is t1^5*t2 != t1*t2"
 
 
 @pytest.mark.parametrize(
