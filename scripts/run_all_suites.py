@@ -8,9 +8,9 @@ Exits nonzero if any suite fails.
 """
 
 import argparse
-import inspect
 import time
 
+from quotloc.cli import suite_kwargs
 from quotloc.suites import CLI_SUITES
 
 
@@ -22,9 +22,7 @@ def main():
     failed = 0
     for name, suite in CLI_SUITES.items():
         start = time.monotonic()
-        takes_seed = "seed" in inspect.signature(suite).parameters
-        kwargs = {"seed": args.seed} if takes_seed else {}
-        report = suite(**kwargs)
+        report = suite(**suite_kwargs(suite, seed=args.seed))
         elapsed = time.monotonic() - start
         status = "pass" if report.passed else "FAIL"
         print(f"{name:<16s} {status}  checks={report.checks:<6d} {elapsed:6.2f}s")

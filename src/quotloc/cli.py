@@ -5,6 +5,12 @@ Two subcommands::
     quotloc compute --r1 R1 --r2 R2 --order N --seed S [--num-points K] [--out PATH]
     quotloc verify SUITE [--r1 R1 --r2 R2] [--order N --seed S --num-points K --out PATH]
 
+``verify`` passes each flag given to every keyword of its ``FLAG_KEYWORDS``
+row that the suite's signature names (``--order`` is ``order``, ``max_len``
+or ``det_len``, for example); a flag left out leaves the suite's default,
+and ``--num-points`` is a usage error for a suite that names none of its
+keywords.
+
 Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
 byte-identical across runs with the same configuration (wall time goes to
@@ -19,7 +25,6 @@ import argparse
 import inspect
 import sys
 import time
-from dataclasses import dataclass
 
 from .points import PointExhausted, rational_stream, retry_points
 from .rational import rat_str
@@ -38,21 +43,10 @@ class NoChecks(ValueError):
     """The configuration leaves the suite nothing to check."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    suite: str | None
-    r1: int | None
-    r2: int | None
-    order: int | None
-    seed: int
-    num_points: int | None
-    out: str | None
-
-    def ranks(self) -> Ranks | None:
-        if self.r1 is None and self.r2 is None:
-            return None
-        return Ranks(self.r1 or 0, self.r2 or 0)
+def _ranks(args) -> Ranks | None:
+    if args.r1 is None and args.r2 is None:
+        return None
+    return Ranks(args.r1 or 0, args.r2 or 0)
 
 
 def _render(node, indent: int = 0, lines=None) -> list:
@@ -73,14 +67,14 @@ def render_report(tree) -> str:
     return "\n".join(_render(tree)) + "\n"
 
 
-def _config_tree(cfg: RunConfig) -> list:
+def _config_tree(args) -> list:
     show = lambda v: "-" if v is None else v
     return [
-        ("r1", show(cfg.r1)),
-        ("r2", show(cfg.r2)),
-        ("order", show(cfg.order)),
-        ("seed", cfg.seed),
-        ("num-points", show(cfg.num_points)),
+        ("r1", show(args.r1)),
+        ("r2", show(args.r2)),
+        ("order", show(args.order)),
+        ("seed", args.seed),
+        ("num-points", show(args.num_points)),
     ]
 
 
@@ -90,13 +84,13 @@ def _point_tree(point) -> list:
     return [(var_name(v), rat_str(q)) for v, q in point.items()]
 
 
-def cmd_compute(cfg: RunConfig) -> tuple[str, int]:
+def cmd_compute(args) -> tuple[str, int]:
     """Evaluate the localized and closed-form series at seeded points."""
-    ranks = cfg.ranks() or Ranks(1, 0)
-    order = 6 if cfg.order is None else cfg.order
-    num_points = cfg.num_points or 1
+    ranks = _ranks(args) or Ranks(1, 0)
+    order = 6 if args.order is None else args.order
+    num_points = args.num_points or 1
     forms = localized_forms(ranks, order)
-    stream = rational_stream(cfg.seed)
+    stream = rational_stream(args.seed)
     point_blocks = []
     for index in range(1, num_points + 1):
         point, localized = retry_points(
@@ -121,53 +115,49 @@ def cmd_compute(cfg: RunConfig) -> tuple[str, int]:
         )
     tree = [
         ("command", "compute"),
-        ("config", _config_tree(cfg)),
+        ("config", _config_tree(args)),
         ("coefficients", point_blocks),
         ("status", "ok"),
     ]
     return render_report(tree), EXIT_PASS
 
 
-# The keyword names each suite gives to --r1/--r2, --order and --num-points;
+# The suite keywords each flag fills, where the suite's signature names them;
 # ``ranks_list`` and ``det_ranks`` take a one-pair tuple.
-SUITE_KEYWORDS = {
-    "closed-form": ("ranks_list", "order", "num_points"),
-    "framing": ("ranks", "order", "num_assignments"),
-    "factorization": ("ranks_list", "order", "num_points"),
-    "limits": ("ranks", "max_len", ""),
-    "oracle": ("ranks_list", "order", "num_points"),
-    "cohomological": ("ranks_list", "order", "num_points"),
-    "no-twist": ("det_ranks ranks_list", "order det_len", "num_points"),
-    "cy-vanishing": ("ranks_list", "max_len", "num_seeds"),
-    "euler-count": ("ranks_list", "max_len", ""),
-    "smooth-chi-y": ("ranks_list", "max_len", ""),
+FLAG_KEYWORDS = {
+    "ranks": ("ranks", "ranks_list", "det_ranks"),
+    "order": ("order", "max_len", "det_len"),
+    "num_points": ("num_points", "num_assignments", "num_seeds"),
+    "seed": ("seed",),
 }
 
 
-def _suite_kwargs(cfg: RunConfig) -> dict:
-    """Translate the flat CLI configuration into suite keyword arguments."""
-    ranks = cfg.ranks()
+def suite_kwargs(suite, **flags) -> dict:
+    """Keyword arguments for ``suite`` from the flags given (``None``: not
+    given): each fills every keyword of its ``FLAG_KEYWORDS`` row that the
+    suite's signature names, and the suite's defaults fill the rest."""
+    params = inspect.signature(suite).parameters
     kw: dict = {}
-    if "seed" in inspect.signature(CLI_SUITES[cfg.suite]).parameters:
-        kw["seed"] = cfg.seed
-    given = (ranks, cfg.order, cfg.num_points)
-    for names, value in zip(SUITE_KEYWORDS[cfg.suite], given):
-        for name in names.split():
-            if value is not None:
+    for flag, value in flags.items():
+        for name in FLAG_KEYWORDS[flag]:
+            if value is not None and name in params:
                 kw[name] = (value,) if name in ("ranks_list", "det_ranks") else value
     return kw
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[str, int]:
     """Run one named suite and report pass/fail with counterexamples."""
-    suite_fn = CLI_SUITES[cfg.suite]
-    report: SuiteReport = suite_fn(**_suite_kwargs(cfg))
+    suite_fn = CLI_SUITES[args.suite]
+    kwargs = suite_kwargs(
+        suite_fn, ranks=_ranks(args), order=args.order, num_points=args.num_points, seed=args.seed
+    )
+    report: SuiteReport = suite_fn(**kwargs)
     if not report.checks:
-        raise NoChecks(f"suite {cfg.suite} made no checks")
+        raise NoChecks(f"suite {args.suite} made no checks")
     tree = [
         ("command", "verify"),
-        ("suite", cfg.suite),
-        ("config", _config_tree(cfg)),
+        ("suite", args.suite),
+        ("config", _config_tree(args)),
         ("checks", report.checks),
         ("failures", len(report.failures)),
     ]
@@ -205,56 +195,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser, args) -> RunConfig:
+def _validate(parser, args) -> None:
     suite = args.suite if args.command == "verify" else None
     if suite is not None and suite not in CLI_SUITES:
         parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
-    cfg = RunConfig(
-        command=args.command,
-        suite=suite,
-        r1=args.r1,
-        r2=args.r2,
-        order=args.order,
-        seed=args.seed,
-        num_points=args.num_points,
-        out=args.out,
-    )
-    if (cfg.r1 is not None or cfg.r2 is not None) and (cfg.r1 or 0) + (cfg.r2 or 0) < 1:
+    if (args.r1 is not None or args.r2 is not None) and (args.r1 or 0) + (args.r2 or 0) < 1:
         parser.error("total rank r1 + r2 must be at least 1")
-    if (cfg.r1 or 0) < 0 or (cfg.r2 or 0) < 0:
+    if (args.r1 or 0) < 0 or (args.r2 or 0) < 0:
         parser.error("ranks must be nonnegative")
-    if cfg.order is not None and cfg.order < 0:
+    if args.order is not None and args.order < 0:
         parser.error("order must be nonnegative")
-    if cfg.num_points is not None and cfg.num_points < 1:
+    if args.num_points is not None and args.num_points < 1:
         parser.error("num-points must be at least 1")
-    if suite is not None and cfg.num_points is not None and not SUITE_KEYWORDS[suite][2]:
-        parser.error(f"the {suite} suite takes no --num-points")
-    if cfg.suite == "smooth-chi-y" and cfg.r1:
+    if suite is not None and args.num_points is not None:
+        if not suite_kwargs(CLI_SUITES[suite], num_points=args.num_points):
+            parser.error(f"the {suite} suite takes no --num-points")
+    if suite == "smooth-chi-y" and args.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
-    if cfg.suite == "limits" and cfg.ranks() is not None and cfg.ranks().total < 2:
+    if suite == "limits" and _ranks(args) is not None and _ranks(args).total < 2:
         parser.error("the limits suite needs two framing slots, r1 + r2 >= 2")
-    return cfg
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _validate(parser, args)
+    _validate(parser, args)
     started = time.monotonic()
     try:
-        if cfg.command == "compute":
-            text, code = cmd_compute(cfg)
+        if args.command == "compute":
+            text, code = cmd_compute(args)
         else:
-            text, code = cmd_verify(cfg)
+            text, code = cmd_verify(args)
     except PointExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except NoChecks as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

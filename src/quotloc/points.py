@@ -71,12 +71,6 @@ class PointAssignment:
         """The same ``(s, v)`` values, read as a cohomological point."""
         return LinearPoint(self._values)
 
-    def scale_group(self, kind: str, factor) -> "PointAssignment":
-        """A copy with every variable of the given kind scaled by ``factor``."""
-        return PointAssignment(
-            {v: (q * factor if v[0] == kind else q) for v, q in self._values.items()}
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{var_name(v)}={q}" for v, q in self.items())
         return f"point({inner})"

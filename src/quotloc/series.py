@@ -203,26 +203,6 @@ class BlockTable:
                     else:
                         yield here, size + m, acc
 
-    def coefficients(self, point: PointAssignment) -> QSeries:
-        """The sum of the weights of each degree at ``point``: a :meth:`fold`
-        of block values by products.  A fixed point with a block that
-        vanishes or has a pole here is evaluated whole, since one factor can
-        sit in two blocks with opposite signs: so zeros and
-        :class:`PoleAtPoint` are exactly those of the merged weights.
-        """
-        totals = [RAT_ZERO] * (self.order + 1)
-
-        def value(key):  # None: zero class; 0: vanishes or has a pole here
-            w = self.weight(*key)
-            try:
-                return w if w is None else w.eval_point(point)
-            except PoleAtPoint:
-                return RAT_ZERO
-
-        for states, size, v in self.fold(value, operator.mul, RAT_ONE):
-            totals[size] += v or self.fixed_point_weight(states).eval_point(point)
-        return QSeries(totals)
-
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
     """The fixed-line sum as a block table: a slot's state is its length and
@@ -245,8 +225,24 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
 
 
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
-    """Evaluate a block table at one point and sum each degree."""
-    return table.coefficients(point)
+    """Evaluate a block table at one point and sum each degree: a
+    :meth:`BlockTable.fold` of block values by products.  A fixed point with
+    a block that vanishes or has a pole here is evaluated whole, since one
+    factor can sit in two blocks with opposite signs: so zeros and
+    :class:`PoleAtPoint` are exactly those of the merged weights.
+    """
+    totals = [RAT_ZERO] * (table.order + 1)
+
+    def value(key):  # None: zero class; 0: vanishes or has a pole here
+        w = table.weight(*key)
+        try:
+            return w if w is None else w.eval_point(point)
+        except PoleAtPoint:
+            return RAT_ZERO
+
+    for states, size, v in table.fold(value, operator.mul, RAT_ONE):
+        totals[size] += v or table.fixed_point_weight(states).eval_point(point)
+    return QSeries(totals)
 
 
 def z_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:

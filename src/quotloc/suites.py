@@ -64,7 +64,6 @@ from .vertex import (
 CLOSED_FORM_RANKS = (Ranks(1, 0), Ranks(0, 1), Ranks(1, 1), Ranks(2, 1), Ranks(2, 2), Ranks(3, 1))
 FACTORIZATION_RANKS = (Ranks(1, 1), Ranks(2, 1), Ranks(2, 2))
 TWIST_RANKS = (Ranks(1, 0), Ranks(1, 1), Ranks(2, 1))
-COH_RANKS = (Ranks(1, 0), Ranks(1, 1), Ranks(2, 1))
 
 
 def ranks_up_to(total: int) -> tuple:
@@ -229,7 +228,7 @@ def suite_factorization(ranks_list=FACTORIZATION_RANKS, order=4, num_points=3, s
     return report
 
 
-def suite_limits(ranks=Ranks(2, 2), max_len=5, bookkeeping_total=4, seed=1):
+def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
     """Block-by-block framing limits: the two symbolic limit identities,
     the q-shift bookkeeping and numeric convergence toward the limit."""
     report = SuiteReport("limits")
@@ -253,7 +252,7 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, bookkeeping_total=4, seed=1):
                         back == expected,
                         f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",
                     )
-    for other in ranks_up_to(bookkeeping_total):
+    for other in ranks_up_to(4):
         for n in range(max_len + 1):
             for bn in fixed_points(other, n):
                 report.check(
@@ -292,13 +291,13 @@ def _limits_numeric_convergence(report, ranks, seed):
             )
 
 
-def suite_oracle(ranks_list=None, order=4, num_points=3, seed=1):
+def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
     """The plane Quot scheme recomputation agrees with the fixed-line one,
     and at every diagram tuple the tangent ``T`` and the insertion ``I`` have
     rank ``r n`` and ``T`` has no trivial weight, folded over the blocks of the
     oracle table (:func:`~quotloc.oracle.plane_invariants`)."""
     report = SuiteReport("oracle")
-    for ranks in ranks_up_to(3) if ranks_list is None else ranks_list:
+    for ranks in ranks_list:
         plane = oracle_forms(ranks, order)
         folded = {diagrams: acc for diagrams, _, acc in plane_invariants(plane)}
         for n in range(order + 1):
@@ -324,7 +323,7 @@ def suite_oracle(ranks_list=None, order=4, num_points=3, seed=1):
     return report
 
 
-def suite_cohomological(ranks_list=COH_RANKS, order=4, num_points=5, seed=1):
+def suite_cohomological(ranks_list=TWIST_RANKS, order=4, num_points=5, seed=1):
     """Cohomological residues equal the binomial closed form."""
     report = SuiteReport("cohomological")
     for ranks in ranks_list:
@@ -338,13 +337,13 @@ def suite_cohomological(ranks_list=COH_RANKS, order=4, num_points=5, seed=1):
 
 
 def suite_no_twist(
-    det_ranks=None, det_len=5, ranks_list=TWIST_RANKS, order=5, num_points=5, seed=1
+    det_ranks=ranks_up_to(4), det_len=5, ranks_list=TWIST_RANKS, order=5, num_points=5, seed=1
 ):
     """Determinant of the tangent character, a product over the blocks of
     the localized table (:func:`~quotloc.series.weight_det`), and the
     half-weight twisted series against its closed form."""
     report = SuiteReport("no-twist")
-    for ranks in ranks_up_to(4) if det_ranks is None else det_ranks:
+    for ranks in det_ranks:
         table = localized_forms(ranks, det_len)
         block_det = lambda key: weight_det(table.block(*key))  # weights are not kept
         dets = {bn: det for bn, _, det in table.fold(block_det, operator.mul, Monomial.one())}
@@ -366,7 +365,7 @@ def suite_no_twist(
     return report
 
 
-def suite_cy_vanishing(ranks_list=None, max_len=5, num_seeds=3, seed=1):
+def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1):
     """Every positive-degree coefficient vanishes on the ``t1 t2 = 1`` locus.
 
     Proved by vanishing orders: each weight of degree ``n >= 1``, merged
@@ -377,7 +376,7 @@ def suite_cy_vanishing(ranks_list=None, max_len=5, num_seeds=3, seed=1):
     with ``ord_D <= 0`` fails every check of its degree.
     """
     report = SuiteReport("cy-vanishing")
-    for ranks in ranks_up_to(3) if ranks_list is None else ranks_list:
+    for ranks in ranks_list:
         table = localized_forms(ranks, max_len)
         rest_vars = (T2,) + ranks.w_vars()
         for n in range(1, max_len + 1):
@@ -403,10 +402,10 @@ def suite_cy_vanishing(ranks_list=None, max_len=5, num_seeds=3, seed=1):
     return report
 
 
-def suite_euler_count(ranks_list=None, max_len=10):
+def suite_euler_count(ranks_list=ranks_up_to(4), max_len=10):
     """Fixed-point counts match the binomial generating series."""
     report = SuiteReport("euler-count")
-    for ranks in ranks_up_to(4) if ranks_list is None else ranks_list:
+    for ranks in ranks_list:
         series = euler_char_series(ranks, max_len)
         for n in range(max_len + 1):
             count = len(fixed_points(ranks, n))
@@ -418,13 +417,11 @@ def suite_euler_count(ranks_list=None, max_len=10):
     return report
 
 
-def suite_smooth_chi_y(ranks_list=None, max_len=5):
+def suite_smooth_chi_y(ranks_list=(Ranks(0, 1), Ranks(0, 2), Ranks(0, 3)), max_len=5):
     """One-line moduli: the tangent character identity
     ``T_vir = T - t2^-1 T`` holds symbolically at every fixed point."""
     report = SuiteReport("smooth-chi-y")
     t2_inv = Character.from_monomial(Monomial.var(T2, -1))
-    if ranks_list is None:
-        ranks_list = tuple(Ranks(0, r) for r in (1, 2, 3))
     for ranks in ranks_list:
         if ranks.r1 != 0:
             raise ValueError("the smooth-case identity requires r1 = 0")

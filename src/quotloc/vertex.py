@@ -59,9 +59,6 @@ class Ranks:
         """All torus variables: ``t1, t2`` and the framing variables."""
         return (t_var(1), t_var(2)) + self.w_vars()
 
-    def swapped(self) -> "Ranks":
-        return Ranks(self.r2, self.r1)
-
 
 @dataclass(frozen=True)
 class FixedPoint:

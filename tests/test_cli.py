@@ -1,14 +1,25 @@
 """The batch driver: reports, determinism and exit codes."""
 
+import inspect
 import subprocess
 import sys
 
 import pytest
 
 from quotloc.chars import T1, T2
-from quotloc.cli import EXIT_IO, EXIT_PASS, EXIT_SUITE_FAILURE, EXIT_USAGE, main
+from quotloc.cli import (
+    EXIT_IO,
+    EXIT_PASS,
+    EXIT_SUITE_FAILURE,
+    EXIT_USAGE,
+    FLAG_KEYWORDS,
+    main,
+    suite_kwargs,
+)
 from quotloc.points import seeded_point
 from quotloc.rational import rat_str
+from quotloc.suites import CLI_SUITES
+from quotloc.vertex import Ranks
 
 
 def run_cli(args, capsys):
@@ -150,6 +161,36 @@ class TestVerify:
         code, out, err = run_cli(["verify", "framing"], capsys)
         assert code == EXIT_EXHAUSTED
         assert out == "" and "no usable points" in err
+
+
+class TestFlagKeywords:
+    """The flag -> keyword rule read against the suite signatures: a renamed
+    suite keyword that the rule does not follow fails here."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_SUITES))
+    def test_every_suite_keyword_is_reached_by_a_flag(self, name):
+        suite = CLI_SUITES[name]
+        kw = suite_kwargs(suite, ranks=Ranks(1, 1), order=3, num_points=2, seed=7)
+        assert set(kw) == set(inspect.signature(suite).parameters)
+        assert set(kw) & set(FLAG_KEYWORDS["ranks"])
+        assert set(kw) & set(FLAG_KEYWORDS["order"])
+
+    def test_num_points_reaches_exactly_these_suites(self):
+        takes = {name for name, suite in CLI_SUITES.items() if suite_kwargs(suite, num_points=2)}
+        assert takes == {
+            "closed-form", "framing", "factorization", "oracle", "cohomological",
+            "no-twist", "cy-vanishing",
+        }
+
+    def test_no_twist_gets_both_rank_and_order_keywords(self):
+        kw = suite_kwargs(CLI_SUITES["no-twist"], ranks=Ranks(2, 1), order=4)
+        assert kw == {
+            "det_ranks": (Ranks(2, 1),), "ranks_list": (Ranks(2, 1),), "order": 4, "det_len": 4,
+        }
+
+    def test_omitted_flags_leave_the_defaults(self):
+        suite = CLI_SUITES["cy-vanishing"]
+        assert suite_kwargs(suite, ranks=None, order=None, num_points=None, seed=3) == {"seed": 3}
 
 
 class TestSubprocessEntry:

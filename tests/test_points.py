@@ -52,12 +52,6 @@ def test_missing_variable():
         p.value(T2)
 
 
-def test_scale_group():
-    p = PointAssignment({T1: rational(2), ("w", 1, 1): rational(3)})
-    q = p.scale_group("w", rational(5))
-    assert q.value(T1) == 2 and q.value(("w", 1, 1)) == 15
-
-
 def test_retry_skips_poles():
     calls = []
 

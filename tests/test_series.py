@@ -150,7 +150,7 @@ class TestLocalizedVsClosed:
         a = Ranks(2, 1)
         point_a = full_point(a, seed=5)
         t1v, t2v = point_a.value(T1), point_a.value(T2)
-        b = a.swapped()
+        b = Ranks(a.r2, a.r1)
         swapped_point = seeded_point(b.variables(), 5).with_values(
             {T1: t2v, T2: t1v}
         )
@@ -159,7 +159,7 @@ class TestLocalizedVsClosed:
     def test_framing_values_do_not_matter(self):
         ranks = Ranks(2, 1)
         base = full_point(ranks, seed=9)
-        moved = base.scale_group("w", rational(7, 5))
+        moved = base.with_values({v: base.value(v) * rational(7, 5) for v in ranks.w_vars()})
         assert localized_at(ranks, base, 3) == localized_at(ranks, moved, 3)
 
 
