@@ -32,7 +32,6 @@ from .limits import (
     limit_table,
 )
 from .oracle import (
-    Partition,
     PartitionTuple,
     oracle_forms,
     partition_tuples,

@@ -16,7 +16,7 @@ forms is syntactic equality.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO
 
@@ -190,12 +190,6 @@ class Character:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._terms.items())
 
     def rank(self) -> int:
         """Virtual dimension: the sum of all multiplicities."""

@@ -15,17 +15,20 @@ Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
 byte-identical across runs with the same configuration (wall time goes to
 stderr).  Exit codes: 0 pass, 1 suite failure, 2 usage error (including a
-configuration under which the suite makes no checks), 3 evaluation
-exhausted its point budget, 4 the report could not be written.
+run over the size budget ``MAX_FIXED_POINTS`` and a configuration under which
+the suite makes no checks), 3 evaluation exhausted its point budget, 4 the
+report could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
 
+from .chars import var_name
 from .points import PointExhausted, rational_stream, retry_points
 from .rational import rat_str
 from .series import eval_forms, localized_forms, z_closed
@@ -37,6 +40,8 @@ EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_IO = 4
+
+MAX_FIXED_POINTS = 10**5  # line fixed points, C(n + r, r) at total rank r up to order n
 
 
 class NoChecks(ValueError):
@@ -79,18 +84,13 @@ def _config_tree(args) -> list:
 
 
 def _point_tree(point) -> list:
-    from .chars import var_name
-
     return [(var_name(v), rat_str(q)) for v, q in point.items()]
 
 
-def cmd_compute(args) -> tuple[str, int]:
-    """Evaluate the localized and closed-form series at seeded points."""
-    ranks = _ranks(args) or Ranks(1, 0)
-    order = 6 if args.order is None else args.order
-    num_points = args.num_points or 1
+def compute_points(ranks=Ranks(1, 0), order=6, num_points=1, seed=1) -> list:
+    """The localized and closed-form series at ``num_points`` seeded points."""
     forms = localized_forms(ranks, order)
-    stream = rational_stream(args.seed)
+    stream = rational_stream(seed)
     point_blocks = []
     for index in range(1, num_points + 1):
         point, localized = retry_points(
@@ -113,10 +113,15 @@ def cmd_compute(args) -> tuple[str, int]:
                 ],
             )
         )
+    return point_blocks
+
+
+def cmd_compute(args) -> tuple[str, int]:
+    """Evaluate the localized and closed-form series at seeded points."""
     tree = [
         ("command", "compute"),
         ("config", _config_tree(args)),
-        ("coefficients", point_blocks),
+        ("coefficients", compute_points(**run_kwargs(args, compute_points))),
         ("status", "ok"),
     ]
     return render_report(tree), EXIT_PASS
@@ -145,13 +150,16 @@ def suite_kwargs(suite, **flags) -> dict:
     return kw
 
 
+def run_kwargs(args, fn) -> dict:
+    """The keywords the run passes to ``fn``, ``compute_points`` or its suite."""
+    flags = dict(ranks=_ranks(args), order=args.order, num_points=args.num_points, seed=args.seed)
+    return suite_kwargs(fn, **flags)
+
+
 def cmd_verify(args) -> tuple[str, int]:
     """Run one named suite and report pass/fail with counterexamples."""
-    suite_fn = CLI_SUITES[args.suite]
-    kwargs = suite_kwargs(
-        suite_fn, ranks=_ranks(args), order=args.order, num_points=args.num_points, seed=args.seed
-    )
-    report: SuiteReport = suite_fn(**kwargs)
+    suite = CLI_SUITES[args.suite]
+    report: SuiteReport = suite(**run_kwargs(args, suite))
     if not report.checks:
         raise NoChecks(f"suite {args.suite} made no checks")
     tree = [
@@ -199,6 +207,7 @@ def _validate(parser, args) -> None:
     suite = args.suite if args.command == "verify" else None
     if suite is not None and suite not in CLI_SUITES:
         parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
+    fn = compute_points if suite is None else CLI_SUITES[suite]
     if (args.r1 is not None or args.r2 is not None) and (args.r1 or 0) + (args.r2 or 0) < 1:
         parser.error("total rank r1 + r2 must be at least 1")
     if (args.r1 or 0) < 0 or (args.r2 or 0) < 0:
@@ -207,13 +216,20 @@ def _validate(parser, args) -> None:
         parser.error("order must be nonnegative")
     if args.num_points is not None and args.num_points < 1:
         parser.error("num-points must be at least 1")
-    if suite is not None and args.num_points is not None:
-        if not suite_kwargs(CLI_SUITES[suite], num_points=args.num_points):
-            parser.error(f"the {suite} suite takes no --num-points")
+    if args.num_points is not None and not suite_kwargs(fn, num_points=args.num_points):
+        parser.error(f"the {suite} suite takes no --num-points")
     if suite == "smooth-chi-y" and args.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
     if suite == "limits" and _ranks(args) is not None and _ranks(args).total < 2:
         parser.error("the limits suite needs two framing slots, r1 + r2 >= 2")
+    bound = inspect.signature(fn).bind(**run_kwargs(args, fn))
+    bound.apply_defaults()  # size budget: the largest order n and total rank r the run asks for
+    given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]
+    ranks = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
+    n, r = max(given("order"), default=0), max((p.total for p in ranks), default=0)
+    # past min(n, r) = 20, C(n + r, 20) is already over budget, so huge flags stay cheap
+    if math.comb(n + r, min(n, r, 20)) > MAX_FIXED_POINTS:
+        parser.error(f"order {n} at total rank {r} exceeds the size budget of {MAX_FIXED_POINTS} fixed points")
 
 
 def main(argv=None) -> int:

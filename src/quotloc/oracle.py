@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .chars import T1, T2, Character, FactoredForm, Monomial, k_euler, t_var, w_var
 from .series import BlockTable
@@ -25,35 +24,9 @@ from .vertex import MovabilityViolation, Ranks
 
 
 @dataclass(frozen=True)
-class Partition:
-    """A partition: weakly decreasing positive parts."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(self.parts[k] < self.parts[k + 1] for k in range(len(self.parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def boxes(self) -> Iterator[tuple]:
-        """Boxes ``(a, b)``: row ``b`` (one per part) holds columns
-        ``a = 0 .. part-1`` along the first axis."""
-        for b, length in enumerate(self.parts):
-            for a in range(length):
-                yield (a, b)
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-
-@dataclass(frozen=True)
 class PartitionTuple:
-    """One Young diagram per framing slot, in slot order."""
+    """One Young diagram per framing slot, in slot order; a diagram is a
+    tuple of weakly decreasing positive parts."""
 
     ranks: Ranks
     diagrams: tuple
@@ -64,22 +37,22 @@ class PartitionTuple:
 
     @property
     def size(self) -> int:
-        return sum(d.size for d in self.diagrams)
+        return sum(map(sum, self.diagrams))
 
     def __str__(self) -> str:
-        return "(" + "|".join(str(d) for d in self.diagrams) + ")"
+        return "(" + "|".join("[" + ",".join(map(str, d)) + "]" for d in self.diagrams) + ")"
 
 
 @functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
-    """All partitions of ``n``, largest first part first."""
+    """All partitions of ``n`` as tuples of parts, largest first part first."""
     if n == 0:
-        return (Partition(()),)
+        return ((),)
     out = []
 
     def descend(remaining: int, cap: int, prefix: tuple):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(prefix)
             return
         for part in range(min(cap, remaining), 0, -1):
             descend(remaining - part, part, prefix + (part,))
@@ -109,9 +82,12 @@ def partition_tuples(ranks: Ranks, n: int) -> list:
     return out
 
 
-def diagram_char(diagram: Partition) -> Character:
-    """Character of one Young diagram: ``sum_boxes t1^a t2^b``."""
-    return Character((Monomial([(T1, a), (T2, b)]), 1) for a, b in diagram.boxes())
+def diagram_char(parts: tuple) -> Character:
+    """Character of one Young diagram: ``sum_boxes t1^a t2^b``, box ``(a, b)``
+    in row ``b`` (one per part) and column ``a`` along the first axis."""
+    return Character(
+        (Monomial([(T1, a), (T2, b)]), 1) for b, length in enumerate(parts) for a in range(length)
+    )
 
 
 def plane_q_char(tup: PartitionTuple) -> Character:
@@ -160,7 +136,7 @@ def oracle_contribution(tup: PartitionTuple) -> FactoredForm:
     return k_euler(taut_char(tup)) * k_euler(-plane_tvir(tup))
 
 
-def pair_tangent(lam_a: Partition, lam_b: Partition) -> Character:
+def pair_tangent(lam_a: tuple, lam_b: tuple) -> Character:
     """``P = Z_b + E Z_b bar(Z_a)``: block ``(a, b)`` of the plane tangent is ``w_a^-1 w_b P``."""
     z_b = diagram_char(lam_b)
     return z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())
@@ -190,7 +166,7 @@ class PlaneBlocks:
         the trivial weight: ``P`` is pure ``t``, and off the diagonal ``w != 1``."""
         a, b, lam_a, lam_b = key
         p = self.tangent(lam_a, lam_b)
-        return p.rank(), p.trivial_coefficient() if a == b else 0, lam_b.size
+        return p.rank(), p.trivial_coefficient() if a == b else 0, sum(lam_b)
 
 
 def oracle_forms(ranks: Ranks, order: int) -> BlockTable:

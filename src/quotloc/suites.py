@@ -89,9 +89,10 @@ class SuiteReport:
         return not self.failures
 
     def check(self, ok: bool, describe) -> None:
+        """Count a check; on failure record ``describe()``, a zero-argument callable."""
         self.checks += 1
         if not ok:
-            self.failures.append(describe() if callable(describe) else describe)
+            self.failures.append(describe())
 
 
 def _first_mismatch(lhs: QSeries, rhs: QSeries):
@@ -244,20 +245,20 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
                     fwd = block_limit(bn, i, j, alpha, beta)
                     report.check(
                         fwd.is_one,
-                        f"limit of block ({i}{j},{alpha}{beta}) at {bn} is {fwd} != 1",
+                        lambda: f"limit of block ({i}{j},{alpha}{beta}) at {bn} is {fwd} != 1",
                     )
                     back = block_limit(bn, j, i, beta, alpha)
                     expected = LimitValue.from_monomial(Monomial.var(("t", j), n_low))
                     report.check(
                         back == expected,
-                        f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",
+                        lambda: f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",
                     )
     for other in ranks_up_to(4):
         for n in range(max_len + 1):
             for bn in fixed_points(other, n):
                 report.check(
                     crossing_shift_monomial(bn) == factored_shift_monomial(bn),
-                    f"q-shift bookkeeping fails at {bn}",
+                    lambda: f"q-shift bookkeeping fails at {bn}",
                 )
     _limits_numeric_convergence(report, ranks, seed)
     return report
@@ -287,7 +288,7 @@ def _limits_numeric_convergence(report, ranks, seed):
                 gaps.append(abs(form.eval_point(point) - limit_value))
             report.check(
                 gaps[1] < gaps[0] and gaps[1] * 10 ** (3 * (8**hi - 8**lo) - 1) <= gaps[0],
-                f"no convergence toward the limit for block ({j}{i},{beta}{alpha}) at {bn}",
+                lambda: f"no convergence toward the limit for block ({j}{i},{beta}{alpha}) at {bn}",
             )
 
 
@@ -388,7 +389,7 @@ def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1
             bn = bns[orders.index(low)]
             for k in range(num_seeds):
                 if low <= 0:
-                    report.check(False, f"{label}: weight at {bn} has order {low} along t1 t2 = 1")
+                    report.check(False, lambda: f"{label}: weight at {bn} has order {low} along t1 t2 = 1")
                     continue
                 point, value = retry_points(
                     rest_vars, rational_stream(seed + k), lambda p: cy_first_order(forms, p)
@@ -411,7 +412,7 @@ def suite_euler_count(ranks_list=ranks_up_to(4), max_len=10):
             count = len(fixed_points(ranks, n))
             report.check(
                 count == series.coefficient(n),
-                f"count r={ranks.r1},{ranks.r2} n={n}: {count} fixed points, "
+                lambda: f"count r={ranks.r1},{ranks.r2} n={n}: {count} fixed points, "
                 f"series says {series.coefficient(n)}",
             )
     return report
@@ -430,7 +431,7 @@ def suite_smooth_chi_y(ranks_list=(Ranks(0, 1), Ranks(0, 2), Ranks(0, 3)), max_l
                 tangent = smooth_tangent(bn)
                 report.check(
                     vertex_term(bn) == tangent - t2_inv * tangent,
-                    f"smooth identity fails at {bn}",
+                    lambda: f"smooth identity fails at {bn}",
                 )
     return report
 
@@ -484,12 +485,12 @@ def suite_vertex_properties(count=100, seed=1):
     for _ in range(count):
         bn = random_fixed_point(rng)
         term = vertex_term(bn)
-        report.check(term.rank() == 0, f"vertex term at {bn} has rank {term.rank()}")
+        report.check(term.rank() == 0, lambda: f"vertex term at {bn} has rank {term.rank()}")
         report.check(
-            vertex_blocks_sum(bn) == term, f"block sum differs from vertex term at {bn}"
+            vertex_blocks_sum(bn) == term, lambda: f"block sum differs from vertex term at {bn}"
         )
         report.check(
-            not term.trivial_coefficient(), f"trivial weight in vertex term at {bn}"
+            not term.trivial_coefficient(), lambda: f"trivial weight in vertex term at {bn}"
         )
         balance: dict = {}
         for m, c in term.items():
@@ -498,7 +499,7 @@ def suite_vertex_properties(count=100, seed=1):
                 balance[w_part] = balance.get(w_part, 0) + c
         report.check(
             all(total == 0 for total in balance.values()),
-            f"framing weights unbalanced at {bn}: {balance}",
+            lambda: f"framing weights unbalanced at {bn}: {balance}",
         )
     return report
 
@@ -521,7 +522,7 @@ def suite_diagonal_blocks(max_len=8):
             )
             report.check(
                 block == one_minus * tail,
-                f"diagonal block closed form fails for i={i}, m={m}",
+                lambda: f"diagonal block closed form fails for i={i}, m={m}",
             )
     return report
 
@@ -532,11 +533,11 @@ def suite_bar_involution(count=100, seed=1):
     rng = random.Random(seed)
     for _ in range(count):
         c = random_character(rng)
-        report.check(c.bar().bar() == c, f"bar is not involutive on {c!r}")
+        report.check(c.bar().bar() == c, lambda: f"bar is not involutive on {c!r}")
         d = random_character(rng)
         report.check(
             (c * d).bar() == c.bar() * d.bar(),
-            f"bar is not multiplicative on {c!r}, {d!r}",
+            lambda: f"bar is not multiplicative on {c!r}, {d!r}",
         )
     return report
 
@@ -550,7 +551,7 @@ def suite_euler_multiplicativity(count=100, seed=1):
         b = random_character(rng, nontrivial=True)
         report.check(
             k_euler(a + b) == k_euler(a) * k_euler(b),
-            f"k_euler not multiplicative on {a!r}, {b!r}",
+            lambda: f"k_euler not multiplicative on {a!r}, {b!r}",
         )
     return report
 

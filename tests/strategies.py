@@ -33,10 +33,3 @@ def nonzero_rationals(lo=-30, hi=30):
         st.integers(lo, hi).filter(bool),
         st.integers(1, hi),
     )
-
-
-def small_polys(max_deg=5):
-    return st.lists(
-        st.builds(rational, st.integers(-9, 9), st.integers(1, 9)),
-        max_size=max_deg + 1,
-    )

@@ -1,6 +1,7 @@
 """The batch driver: reports, determinism and exit codes."""
 
 import inspect
+import math
 import subprocess
 import sys
 
@@ -13,6 +14,9 @@ from quotloc.cli import (
     EXIT_SUITE_FAILURE,
     EXIT_USAGE,
     FLAG_KEYWORDS,
+    MAX_FIXED_POINTS,
+    _validate,
+    build_parser,
     main,
     suite_kwargs,
 )
@@ -191,6 +195,79 @@ class TestFlagKeywords:
     def test_omitted_flags_leave_the_defaults(self):
         suite = CLI_SUITES["cy-vanishing"]
         assert suite_kwargs(suite, ranks=None, order=None, num_points=None, seed=3) == {"seed": 3}
+
+
+class TestSizeBudget:
+    """Runs whose rank pair and order ask for more than ``MAX_FIXED_POINTS``
+    line fixed points are refused before any work starts."""
+
+    @staticmethod
+    def validate(argv):
+        parser = build_parser()
+        _validate(parser, parser.parse_args(argv))
+
+    def asked_size(self, argv, capsys, monkeypatch):
+        """The ``(order, total rank)`` the budget reads for ``argv``, from its
+        error text under a zero budget."""
+        from quotloc import cli
+
+        monkeypatch.setattr(cli, "MAX_FIXED_POINTS", 0)
+        with pytest.raises(SystemExit):
+            self.validate(argv)
+        words = capsys.readouterr().err.split()
+        return int(words[words.index("order") + 1]), int(words[words.index("rank") + 1])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "euler-count", "--order", "100000"],
+            ["compute", "--r1", "4", "--r2", "4", "--order", "40"],
+            ["verify", "closed-form", "--r1", "3000000", "--order", "3000000"],
+        ],
+    )
+    def test_oversize_run_exits_usage_before_work(self, argv, capsys, monkeypatch):
+        from quotloc import cli
+
+        def no_work(args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "cmd_compute", no_work)
+        monkeypatch.setattr(cli, "cmd_verify", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the size budget" in captured.err
+
+    @pytest.mark.parametrize("argv", [["compute"]] + [["verify", name] for name in sorted(CLI_SUITES)])
+    def test_defaults_fit_the_budget(self, argv, capsys, monkeypatch):
+        self.validate(argv)
+        n, r = self.asked_size(argv, capsys, monkeypatch)
+        assert math.comb(n + r, r) <= 1001
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["verify", "no-twist"], (5, 4)),  # det_ranks up to total rank 4, det_len 5
+            (["verify", "no-twist", "--order", "7", "--r2", "2"], (7, 2)),
+            (["verify", "limits", "--r1", "3"], (5, 3)),
+            (["compute"], (6, 1)),
+            (["compute", "--r2", "2", "--order", "3"], (3, 2)),
+        ],
+    )
+    def test_reads_every_rank_and_order_keyword(self, argv, size, capsys, monkeypatch):
+        assert self.asked_size(argv, capsys, monkeypatch) == size
+
+    def test_bound_is_the_fixed_point_count(self, monkeypatch):
+        from quotloc import cli
+
+        self.validate(["compute", "--r1", "4", "--r2", "4", "--order", "10"])  # 43758
+        monkeypatch.setattr(cli, "MAX_FIXED_POINTS", 1001)
+        self.validate(["verify", "euler-count", "--order", "10"])  # C(14, 4) = 1001
+        with pytest.raises(SystemExit):
+            self.validate(["verify", "euler-count", "--order", "11"])  # C(15, 4) = 1365
+        assert MAX_FIXED_POINTS == 10**5
 
 
 class TestSubprocessEntry:

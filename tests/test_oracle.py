@@ -4,8 +4,8 @@ import pytest
 
 from quotloc.chars import Character, Monomial, T1, T2, k_euler, w_var
 from quotloc.oracle import (
-    Partition,
     PartitionTuple,
+    diagram_char,
     oracle_contribution,
     oracle_forms,
     partition_tuples,
@@ -24,7 +24,7 @@ w11 = Monomial.var(w_var(1, 1))
 
 
 def tuple_of(ranks, *parts):
-    return PartitionTuple(ranks, tuple(Partition(p) for p in parts))
+    return PartitionTuple(ranks, tuple(parts))
 
 
 class TestPartitions:
@@ -42,22 +42,21 @@ class TestPartitions:
             assert len(partitions(n)) == expected[n]
 
     def test_shape(self):
-        assert [p.parts for p in partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+        assert partitions(3) == ((3,), (2, 1), (1, 1, 1))
+        assert partitions(0) == ((),)
         for n in range(8):
             for p in partitions(n):
-                assert p.size == n
-                assert all(a >= b for a, b in zip(p.parts, p.parts[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition((1, 2))
-        with pytest.raises(ValueError):
-            Partition((0,))
+                assert all(part > 0 for part in p)
+                assert all(a >= b for a, b in zip(p, p[1:]))
+                assert sum(p) == n
 
     def test_boxes(self):
-        assert list(Partition((2,)).boxes()) == [(0, 0), (1, 0)]
-        assert list(Partition((1, 1)).boxes()) == [(0, 0), (0, 1)]
-        assert list(Partition((2, 1)).boxes()) == [(0, 0), (1, 0), (0, 1)]
+        def boxes(*exponents):
+            return Character((Monomial([(T1, a), (T2, b)]), 1) for a, b in exponents)
+
+        assert diagram_char((2,)) == boxes((0, 0), (1, 0))
+        assert diagram_char((1, 1)) == boxes((0, 0), (0, 1))
+        assert diagram_char((2, 1)) == boxes((0, 0), (1, 0), (0, 1))
 
 
 class TestPartitionTuples:
@@ -84,6 +83,9 @@ class TestPartitionTuples:
     def test_total_size(self):
         for tup in partition_tuples(Ranks(2, 1), 4):
             assert tup.size == 4
+
+    def test_print_form(self):
+        assert str(tuple_of(Ranks(2, 1), (2, 1), (), (1,))) == "([2,1]|[]|[1])"
 
 
 class TestPlaneCharacters:
@@ -164,6 +166,16 @@ class TestOracleEquality:
         got = oracle_contribution(tup)
         # (1-t1) * (1-t1t2)/((1-t1)(1-t2)) = (1-t1t2)/(1-t2)
         assert got == FactoredForm([(t1 * t2, 1), (t2, -1)])
+
+    def test_block_keys_are_builtin_tuples(self):
+        """A block key is ``(a, b, lam_a, lam_b)`` with each diagram a tuple of ints."""
+        ranks = Ranks(2, 1)
+        table = oracle_forms(ranks, 3)
+        eval_forms(table, seeded_point(ranks.variables(), 3))
+        assert len(table.weights) > 9
+        for a, b, lam_a, lam_b in table.weights:
+            assert type(a) is int and type(b) is int
+            assert all(type(lam) is tuple and all(type(p) is int for p in lam) for lam in (lam_a, lam_b))
 
     @pytest.mark.parametrize(
         "r1,r2", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]
