@@ -2,7 +2,8 @@
 """Print partition-function coefficients for a grid of ranks.
 
 Evaluates the localized sum and the closed form side by side at one seeded
-point per rank, so the table doubles as a quick end-to-end sanity check.
+point per rank, so the table doubles as a quick end-to-end sanity check:
+the exit code is 1 when any row is a ``MISMATCH``, else 0.
 
     python scripts/series_table.py [--order N] [--seed S]
 """
@@ -19,15 +20,17 @@ def main():
     args = parser.parse_args()
 
     grid = [Ranks(1, 0), Ranks(0, 1), Ranks(1, 1), Ranks(2, 1), Ranks(2, 2)]
+    mismatches = 0
     for ranks in grid:
         point = seeded_point(ranks.variables(), args.seed)
         localized = eval_forms(localized_forms(ranks, args.order), point)
         closed = z_closed(ranks, point, args.order)
         tag = "ok" if localized == closed else "MISMATCH"
+        mismatches += localized != closed
         print(f"ranks ({ranks.r1},{ranks.r2})  [{tag}]")
         for n, c in enumerate(localized.coefficients):
             print(f"  q^{n}: {rat_str(c)}")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO
+from .rational import rational
 
 # Variable identifiers.  Tuples sort consistently, which fixes the order in
 # which seeded points assign values and the order monomials print.
@@ -358,26 +358,39 @@ class FactoredForm:
 
     __hash__ = None
 
-    def eval_point(self, point):
-        """Exact value ``prod (1 - m(p))^c`` at a point assignment.
+    def eval_pair(self, point):
+        """Exact value ``prod (1 - m(p))^c`` at a point assignment, as an
+        unreduced integer pair ``(n, d)``, ``d != 0``: the factor pairs of
+        ``point.factor`` are multiplied as plain integers.
 
         Raises :class:`PoleAtPoint` when a factor with negative multiplicity
-        vanishes; a vanishing factor with positive multiplicity gives 0.
+        vanishes, even after a vanishing factor with positive multiplicity;
+        otherwise a vanishing factor gives ``(0, 1)``.
         """
         if self._zero:
-            return RAT_ZERO
-        value = RAT_ONE
+            return 0, 1
+        num = den = 1
         hit_zero = False
-        mv = point.monomial_value
+        factor = point.factor
         for m, c in self._factors.items():
-            f = 1 - mv(m)
-            if not f:
+            a, b = factor(m)
+            if not a:
                 if c < 0:
                     raise PoleAtPoint(f"factor 1 - {m!r} vanishes at the point")
                 hit_zero = True
-            elif not hit_zero:
-                value = value * f if c == 1 else value * f**c
-        return RAT_ZERO if hit_zero else value
+            elif hit_zero:
+                continue
+            elif c == 1:
+                num, den = num * a, den * b
+            elif c > 0:
+                num, den = num * a**c, den * b**c
+            else:
+                num, den = num * b**-c, den * a**-c
+        return (0, 1) if hit_zero else (num, den)
+
+    def eval_point(self, point):
+        """The value of :meth:`eval_pair` as one exact rational."""
+        return rational(*self.eval_pair(point))
 
     def __repr__(self) -> str:
         if self._zero:

@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_IO = 4
 
-MAX_FIXED_POINTS = 10**5  # line fixed points, C(n + r, r) at total rank r up to order n
+MAX_FIXED_POINTS = 10**5  # fixed points up to order n at total rank r (fixed_point_count)
 
 
 class NoChecks(ValueError):
@@ -227,9 +227,28 @@ def _validate(parser, args) -> None:
     given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]
     ranks = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
     n, r = max(given("order"), default=0), max((p.total for p in ranks), default=0)
-    # past min(n, r) = 20, C(n + r, 20) is already over budget, so huge flags stay cheap
-    if math.comb(n + r, min(n, r, 20)) > MAX_FIXED_POINTS:
+    if suite == "limits":  # its q-shift bookkeeping runs every rank pair up to total rank 4
+        r = max(r, 4)
+    if fixed_point_count(suite, n, r) > MAX_FIXED_POINTS:
         parser.error(f"order {n} at total rank {r} exceeds the size budget of {MAX_FIXED_POINTS} fixed points")
+
+
+def fixed_point_count(suite, n: int, r: int) -> int:
+    """The fixed points a run enumerates at order ``n`` and total rank ``r``,
+    or a number over ``MAX_FIXED_POINTS`` once they exceed it, so huge flags
+    stay cheap: ``C(n + r, r)`` line fixed points, and for ``oracle`` the
+    diagram tuples ``sum_(m <= n) [q^m] prod_k (1 - q^k)^-r``."""
+    if suite != "oracle":
+        # past min(n, r) = 20, C(n + r, 20) is already over budget
+        return math.comb(n + r, min(n, r, 20))
+    # f = prod_k (1 - q^k)^-r satisfies m f_m = r sum_(k=1..m) sigma(k) f_(m-k)
+    f, sigma = [1], [0]
+    for m in range(1, n + 1):
+        if sum(f) > MAX_FIXED_POINTS:
+            break
+        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
+        f.append(r * sum(sigma[k] * f[m - k] for k in range(1, m + 1)) // m)
+    return sum(f)
 
 
 def main(argv=None) -> int:

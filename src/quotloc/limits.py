@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import FactoredForm, Monomial, k_euler
+from .rational import rational
 from .series import BlockTable, line_table
 from .vertex import FixedPoint, Ranks, vertex_block
 
@@ -84,9 +85,15 @@ class LimitValue:
             self.factors * other.factors,
         )
 
+    def eval_pair(self, point):
+        """The value at ``point`` as an unreduced integer pair, as
+        :meth:`FactoredForm.eval_pair`."""
+        n, d = self.factors.eval_pair(point)
+        a, b = point.monomial_pair(self.monomial)
+        return self.sign * a * n, b * d
+
     def eval_point(self, point):
-        value = self.sign * point.monomial_value(self.monomial)
-        return value * self.factors.eval_point(point)
+        return rational(*self.eval_pair(point))
 
 
 def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:

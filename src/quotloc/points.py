@@ -25,11 +25,11 @@ class PointExhausted(RuntimeError):
 class PointAssignment:
     """A map from variable ids to nonzero exact rationals.
 
-    Monomial values are memoized per assignment, which makes repeated
-    evaluation of factored forms at the same point cheap.
+    Monomial values and factor values are memoized per assignment, which
+    makes repeated evaluation of factored forms at the same point cheap.
     """
 
-    __slots__ = ("_values", "_memo")
+    __slots__ = ("_values", "_memo", "_factors")
 
     def __init__(self, values):
         vals = dict(values)
@@ -38,6 +38,7 @@ class PointAssignment:
                 raise ValueError(f"variable {var_name(v)} assigned zero")
         self._values = vals
         self._memo = {}
+        self._factors = {}
 
     def value(self, var):
         try:
@@ -51,15 +52,32 @@ class PointAssignment:
     def items(self):
         return sorted(self._values.items())
 
+    def monomial_pair(self, monomial):
+        """``m(p)`` as an unreduced integer pair ``(n, d)`` with ``d > 0``."""
+        n = d = 1
+        for v, e in monomial.exponents():
+            q = self._values[v]
+            a, b = q.numerator, q.denominator
+            if e > 0:
+                n, d = n * a**e, d * b**e
+            else:
+                n, d = n * b**-e, d * a**-e
+        return (n, d) if d > 0 else (-n, -d)
+
     def monomial_value(self, monomial):
         memo = self._memo
         got = memo.get(monomial)
         if got is None:
-            value = rational(1)
-            for v, e in monomial.exponents():
-                value *= self._values[v] ** e
-            memo[monomial] = value
-            return value
+            got = memo[monomial] = rational(*self.monomial_pair(monomial))
+        return got
+
+    def factor(self, monomial):
+        """``1 - m(p)`` as an unreduced integer pair ``(d - n, d)``."""
+        factors = self._factors
+        got = factors.get(monomial)
+        if got is None:
+            n, d = self.monomial_pair(monomial)
+            got = factors[monomial] = (d - n, d)
         return got
 
     def with_values(self, overrides) -> "PointAssignment":
@@ -90,15 +108,11 @@ class LinearPoint(PointAssignment):
 
     __slots__ = ()
 
-    def monomial_value(self, monomial):
-        memo = self._memo
-        got = memo.get(monomial)
-        if got is None:
-            got = rational(1)
-            for v, e in monomial.exponents():
-                got += e * self._values[(_LINEAR_KIND[v[0]],) + v[1:]]
-            memo[monomial] = got
-        return got
+    def monomial_pair(self, monomial):
+        value = rational(1)
+        for v, e in monomial.exponents():
+            value += e * self._values[(_LINEAR_KIND[v[0]],) + v[1:]]
+        return value.numerator, value.denominator
 
 
 def rational_stream(seed: int) -> Iterator:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Callable, Iterable
 
 from .chars import (
@@ -224,24 +223,30 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
     return line_table(ranks, order, lambda block: k_euler(-block))
 
 
+def _pair_product(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     """Evaluate a block table at one point and sum each degree: a
-    :meth:`BlockTable.fold` of block values by products.  A fixed point with
+    :meth:`BlockTable.fold` of block values by products.  Block values are
+    unreduced integer pairs (:meth:`FactoredForm.eval_pair`), multiplied as
+    plain integers and normalised once per fixed point.  A fixed point with
     a block that vanishes or has a pole here is evaluated whole, since one
     factor can sit in two blocks with opposite signs: so zeros and
     :class:`PoleAtPoint` are exactly those of the merged weights.
     """
     totals = [RAT_ZERO] * (table.order + 1)
 
-    def value(key):  # None: zero class; 0: vanishes or has a pole here
+    def value(key):  # None: zero class; (0, 1): vanishes or has a pole here
         w = table.weight(*key)
         try:
-            return w if w is None else w.eval_point(point)
+            return w if w is None else w.eval_pair(point)
         except PoleAtPoint:
-            return RAT_ZERO
+            return 0, 1
 
-    for states, size, v in table.fold(value, operator.mul, RAT_ONE):
-        totals[size] += v or table.fixed_point_weight(states).eval_point(point)
+    for states, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
+        totals[size] += rational(n, d) if n else table.fixed_point_weight(states).eval_point(point)
     return QSeries(totals)
 
 

@@ -16,13 +16,15 @@ from quotloc.cli import (
     FLAG_KEYWORDS,
     MAX_FIXED_POINTS,
     _validate,
+    fixed_point_count,
     build_parser,
     main,
     suite_kwargs,
 )
 from quotloc.points import seeded_point
 from quotloc.rational import rat_str
-from quotloc.suites import CLI_SUITES
+from quotloc.oracle import partition_tuples
+from quotloc.suites import CLI_SUITES, ranks_up_to
 from quotloc.vertex import Ranks
 
 
@@ -199,7 +201,8 @@ class TestFlagKeywords:
 
 class TestSizeBudget:
     """Runs whose rank pair and order ask for more than ``MAX_FIXED_POINTS``
-    line fixed points are refused before any work starts."""
+    fixed points (line fixed points, or diagram tuples for ``oracle``) are
+    refused before any work starts."""
 
     @staticmethod
     def validate(argv):
@@ -223,6 +226,9 @@ class TestSizeBudget:
             ["verify", "euler-count", "--order", "100000"],
             ["compute", "--r1", "4", "--r2", "4", "--order", "40"],
             ["verify", "closed-form", "--r1", "3000000", "--order", "3000000"],
+            ["verify", "limits", "--r1", "1", "--r2", "1", "--order", "100"],  # C(104, 4)
+            ["verify", "oracle", "--r1", "3", "--order", "20"],  # 943305 diagram tuples
+            ["verify", "oracle", "--r1", "3000000", "--order", "3000000"],
         ],
     )
     def test_oversize_run_exits_usage_before_work(self, argv, capsys, monkeypatch):
@@ -245,13 +251,14 @@ class TestSizeBudget:
         self.validate(argv)
         n, r = self.asked_size(argv, capsys, monkeypatch)
         assert math.comb(n + r, r) <= 1001
+        assert fixed_point_count(argv[-1], n, r) <= 1001
 
     @pytest.mark.parametrize(
         "argv,size",
         [
             (["verify", "no-twist"], (5, 4)),  # det_ranks up to total rank 4, det_len 5
             (["verify", "no-twist", "--order", "7", "--r2", "2"], (7, 2)),
-            (["verify", "limits", "--r1", "3"], (5, 3)),
+            (["verify", "limits", "--r1", "3"], (5, 4)),  # q-shifts run up to total rank 4
             (["compute"], (6, 1)),
             (["compute", "--r2", "2", "--order", "3"], (3, 2)),
         ],
@@ -268,6 +275,13 @@ class TestSizeBudget:
         with pytest.raises(SystemExit):
             self.validate(["verify", "euler-count", "--order", "11"])  # C(15, 4) = 1365
         assert MAX_FIXED_POINTS == 10**5
+
+    def test_oracle_count_is_the_diagram_tuple_count(self):
+        for ranks in ranks_up_to(3):
+            for n in range(5):
+                tuples = sum(len(partition_tuples(ranks, m)) for m in range(n + 1))
+                assert fixed_point_count("oracle", n, ranks.total) == tuples
+        assert fixed_point_count("oracle", 20, 3) > MAX_FIXED_POINTS
 
 
 class TestSubprocessEntry:

@@ -7,22 +7,31 @@ evaluate its weight.  At generic points both sides give the same series; at
 degenerate points they give the same series or both raise ``PoleAtPoint``.
 The symbolic invariants folded over a table's blocks (ranks, trivial
 coefficient, det) equal those of the whole characters.
+
+The references evaluate weights in ``Fraction`` straight from the point's
+coordinates (``fraction_eval``), not through the integer pairs of
+``eval_pair``, and a property test holds ``eval_point`` to that evaluator.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quotloc.chars import (
     T1,
     T2,
     U1,
     U2,
+    FactoredForm,
     Monomial,
     PoleAtPoint,
 )
-from quotloc.limits import block_limit, limit_table
+from quotloc.limits import LimitValue, block_limit, limit_table
 from quotloc.oracle import (
     oracle_contribution,
     oracle_forms,
@@ -31,8 +40,8 @@ from quotloc.oracle import (
     plane_tvir,
     taut_char,
 )
-from quotloc.points import PointAssignment, seeded_point
-from quotloc.rational import ZERO, rational
+from quotloc.points import LinearPoint, PointAssignment, seeded_point
+from quotloc.rational import rational
 from quotloc.series import (
     QSeries,
     coh_variables,
@@ -45,7 +54,40 @@ from quotloc.series import (
 from quotloc.suites import ranks_up_to
 from quotloc.vertex import contribution, fixed_points, vertex_term
 
+from strategies import VARS, monomials, nonzero_rationals
+
 S1, S2 = ("s", 1), ("s", 2)
+LINEAR_KIND = {"t": "s", "w": "v"}
+
+
+def fraction(q):
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def fraction_monomial(point, m):
+    """``m(p)`` in ``Fraction``, from ``point.value``; ``1 + mu . s`` at a
+    :class:`LinearPoint`."""
+    if isinstance(point, LinearPoint):
+        return 1 + sum(
+            (e * fraction(point.value((LINEAR_KIND[v[0]],) + v[1:])) for v, e in m.exponents()),
+            start=Fraction(0),
+        )
+    return math.prod((fraction(point.value(v)) ** e for v, e in m.exponents()), start=Fraction(1))
+
+
+def fraction_eval(weight, point):
+    """A weight's value at a point, multiplying ``(1 - m(p))^c`` in
+    ``Fraction``; a vanishing factor with ``c < 0`` raises ``PoleAtPoint``
+    whatever else vanishes."""
+    if isinstance(weight, LimitValue):
+        scale = weight.sign * fraction_monomial(point, weight.monomial)
+        return scale * fraction_eval(weight.factors, point)
+    if weight.is_zero:
+        return Fraction(0)
+    values = [(1 - fraction_monomial(point, m), c) for m, c in weight.factors()]
+    if any(not f and c < 0 for f, c in values):
+        raise PoleAtPoint("a denominator factor vanishes")
+    return math.prod((f**c for f, c in values), start=Fraction(1))
 
 
 def same(point):
@@ -61,7 +103,8 @@ def reference_sum(order, items, weight, at=same, twist=lambda n: Monomial.one())
     def series(point):
         here = at(point)
         return QSeries(
-            sum((f.eval_point(here) for f in fs), start=ZERO) * point.monomial_value(twist(n))
+            sum((fraction_eval(f, here) for f in fs), start=Fraction(0))
+            * fraction_monomial(point, twist(n))
             for n, fs in enumerate(forms)
         )
 
@@ -199,6 +242,67 @@ def test_engine_matches_reference_at_degenerate_points(name):
             cases += 1
             poles += want == "pole"
     assert 0 < poles < cases
+
+
+POOL = st.sampled_from([rational(1), rational(-1)])
+LINEAR_VARS = tuple((LINEAR_KIND[v[0]],) + v[1:] for v in VARS)
+
+
+def assignments(variables, values):
+    return st.fixed_dictionaries({v: values for v in variables}).map(PointAssignment)
+
+
+# values from a small pool make factors vanish often; the other values range
+# over both signs
+POINTS = st.one_of(
+    st.integers(0, 2**32).map(lambda seed: seeded_point(VARS, seed)),
+    assignments(VARS, POOL),
+    assignments(VARS, nonzero_rationals()),
+    assignments(LINEAR_VARS, POOL).map(PointAssignment.linearized),
+    assignments(LINEAR_VARS, nonzero_rationals()).map(PointAssignment.linearized),
+)
+MULTIPLICITIES = st.sampled_from((-3, -2, -1, 1, 2, 3))
+FORMS = st.builds(
+    FactoredForm,
+    st.lists(st.tuples(monomials(-3, 3, allow_trivial=False), MULTIPLICITIES), max_size=6),
+    is_zero=st.sampled_from((False,) * 9 + (True,)),  # the zero class, now and then
+)
+
+
+def same_outcome(form, point):
+    got = outcome(lambda: form.eval_point(point))
+    want = outcome(lambda: fraction_eval(form, point))
+    assert got == want
+    return want
+
+
+@given(FORMS, POINTS)
+@settings(max_examples=300)
+def test_eval_point_equals_fraction_reference(form, point):
+    """``eval_point`` (integer pairs, one normalisation) equals the
+    ``Fraction`` evaluator, and raises ``PoleAtPoint`` exactly when it does."""
+    want = same_outcome(form, point)
+    event("pole" if want == "pole" else "zero" if not want else "nonzero")
+
+
+@pytest.mark.parametrize("numerator_first", [True, False])
+def test_pole_wins_over_a_vanishing_numerator_factor(numerator_first):
+    """A form with a vanishing numerator factor and a vanishing denominator
+    factor has a pole, whichever factor comes first; without the denominator
+    factor it is 0."""
+    t1, w11 = Monomial.var(T1), Monomial.var(("w", 1, 1))
+    cases = (
+        ([(t1, 2), (w11, -1)], PointAssignment({T1: rational(1), ("w", 1, 1): rational(1)})),
+        (
+            [(t1 * Monomial.var(T2), 1), (t1 * w11.inverse(), -2)],
+            PointAssignment({S1: rational(2), S2: rational(-2), ("v", 1, 1): rational(2)}).linearized(),
+        ),
+    )
+    for factors, point in cases:
+        numerator, denominator = factors
+        ordered = [numerator, denominator] if numerator_first else [denominator, numerator]
+        assert same_outcome(FactoredForm(ordered), point) == "pole"
+        assert same_outcome(FactoredForm([numerator]), point) == 0
 
 
 def folded_once(table, value, combine, start, items):

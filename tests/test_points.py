@@ -2,7 +2,7 @@
 
 import pytest
 
-from quotloc.chars import Monomial, PoleAtPoint, T1, T2
+from quotloc.chars import Monomial, PoleAtPoint, T1, T2, w_var
 from quotloc.points import (
     PointAssignment,
     PointExhausted,
@@ -11,6 +11,9 @@ from quotloc.points import (
     retry_points,
 )
 from quotloc.rational import rational
+
+W11 = w_var(1, 1)
+S1, S2, V11 = ("s", 1), ("s", 2), ("v", 1, 1)
 
 
 def test_stream_is_deterministic():
@@ -38,6 +41,24 @@ def test_monomial_value_and_memo():
     m = Monomial({T1: 2, T2: -1})
     assert p.monomial_value(m) == rational(4, 3)
     assert p.monomial_value(m) == rational(4, 3)  # memo hit
+    assert p.monomial_value(Monomial.one()) == 1
+    assert p.monomial_pair(Monomial.one()) == (1, 1)
+    # unreduced pairs keep d > 0 at negative coordinates
+    q = PointAssignment({T1: rational(-2, 3), T2: rational(-5), W11: rational(4, 7)})
+    for exps in ({T1: 1}, {T1: -1}, {T1: -3, T2: 1}, {T2: -1, W11: 2}, {T1: -2, T2: -1, W11: -1}):
+        m = Monomial(exps)
+        n, d = q.monomial_pair(m)
+        assert d > 0 and rational(n, d) == q.monomial_value(m)
+        assert rational(*q.factor(m)) == 1 - q.monomial_value(m)
+        assert q.factor(m) is q.factor(m)  # memo hit
+    assert q.monomial_pair(Monomial({T1: -1, T2: -1})) == (3, 10)
+
+
+def test_linear_point_monomial_value():
+    p = PointAssignment({S1: rational(3), S2: rational(-5, 2), V11: rational(1, 7)}).linearized()
+    m = Monomial({T1: 2, T2: 1, W11: -1})
+    assert p.monomial_value(m) == 1 + 2 * rational(3) - rational(5, 2) - rational(1, 7)
+    assert rational(*p.factor(m)) == 1 - p.monomial_value(m)
     assert p.monomial_value(Monomial.one()) == 1
 
 
