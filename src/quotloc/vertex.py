@@ -9,8 +9,8 @@ The virtual tangent character at a fixed point is
 
     T = sum_i bar(K_i) (1 - t_i^-1) Q  -  (1 - t1^-1)(1 - t2^-1) Q bar(Q)
 
-which decomposes into framing-index blocks; both routes are implemented and
-compared in the test suite.
+which splits into framing-pair blocks.  :func:`vertex_block` builds each from its
+telescoped closed form; :func:`vertex_term`, the reference, computes ``T`` whole.
 """
 
 from __future__ import annotations
@@ -121,19 +121,12 @@ def box_char(m: int, i: int) -> Character:
     return Character((Monomial.var(t, a), 1) for a in range(m))
 
 
-def q_char_line(bn: FixedPoint, i: int) -> Character:
-    """Character of the quotient restricted to line ``i``."""
-    ranks = bn.ranks
-    total = Character.zero()
-    for a in range(1, (ranks.r1 if i == 1 else ranks.r2) + 1):
-        piece = box_char(bn.length(i, a), i) * Monomial.var(w_var(i, a))
-        total = total + piece
-    return total
-
-
 def q_char(bn: FixedPoint) -> Character:
     """Character of the full quotient at the fixed point; rank = length."""
-    return q_char_line(bn, 1) + q_char_line(bn, 2)
+    total = Character.zero()
+    for i, a in bn.ranks.slots():
+        total = total + box_char(bn.length(i, a), i) * Monomial.var(w_var(i, a))
+    return total
 
 
 def framing_char(ranks: Ranks, i: int) -> Character:
@@ -163,20 +156,27 @@ def vertex_term(bn: FixedPoint) -> Character:
 
 
 def vertex_block(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> Character:
-    """The ``(i j, alpha beta)`` block of the vertex term:
+    """The ``(i j, alpha beta)`` block of the vertex term,
 
-    ``w(i,a)^-1 w(j,b) ((1 - t_i^-1) Z_(j,b) - (1-t1^-1)(1-t2^-1) bar(Z_(i,a)) Z_(j,b))``.
+    ``w(i,a)^-1 w(j,b) ((1 - t_i^-1) Z_(j,b) - (1-t1^-1)(1-t2^-1) bar(Z_(i,a)) Z_(j,b))``,
 
-    Summing over all index pairs reproduces :func:`vertex_term`.
+    in its telescoped form ``w(i,a)^-1 w(j,b) t_ihat^-m_a (1 - t_i^-1) Z_(j,b)``,
+    where ``ihat = 3 - i``: ``bar(Z_(i,a)) = sum_(k < m_a) t_ihat^-k``, so
+    ``(1 - t_ihat^-1) bar(Z_(i,a)) = 1 - t_ihat^-m_a``.  For ``i != j`` the block
+    is the prefix times ``t_i^(m_b - 1) - t_i^-1``; for ``i == j`` it has ``2 m_b``
+    distinct terms.  Each monomial is written from its exponents, with no
+    character product.  Summing over all index pairs reproduces :func:`vertex_term`.
     """
-    z_jb = box_char(bn.length(j, beta), j)
-    if z_jb.is_zero:
-        return Character.zero()
-    z_ia = box_char(bn.length(i, alpha), i)
-    inner = _one_minus_tinv(i) * z_jb
-    inner = inner - _one_minus_tinv(1) * _one_minus_tinv(2) * (z_ia.bar() * z_jb)
-    w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
-    return inner * w
+    m_b = bn.length(j, beta)
+    t_i, t_ihat, shift = t_var(i), t_var(3 - i), -bn.length(i, alpha)
+    w = {} if (i, alpha) == (j, beta) else {w_var(i, alpha): -1, w_var(j, beta): 1}
+    terms = []
+    if i == j:
+        for k in range(shift, shift + m_b):
+            terms += [({t_ihat: k}, 1), ({t_ihat: k, t_i: -1}, -1)]
+    elif m_b:
+        terms = [({t_ihat: shift, t_i: m_b - 1}, 1), ({t_ihat: shift, t_i: -1}, -1)]
+    return Character((Monomial({**w, **e}), c) for e, c in terms)
 
 
 def vertex_blocks_sum(bn: FixedPoint) -> Character:

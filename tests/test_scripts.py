@@ -18,6 +18,16 @@ def test_series_table_rows_agree(monkeypatch, capsys):
     assert len(rows) == 5 and all(row.endswith("[ok]") for row in rows)
 
 
+def test_series_table_retries_a_point_with_a_pole(monkeypatch, capsys):
+    # seed 157's first point makes a factor 1 - w11^-1*w22 vanish at ranks (2,2)
+    monkeypatch.setattr(sys, "argv", ["series_table.py", "--seed", "157", "--order", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "series_table.py"), run_name="__main__")
+    assert exc.value.code == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("ranks")]
+    assert len(rows) == 5 and all(row.endswith("[ok]") for row in rows)
+
+
 def test_series_table_exits_1_on_a_mismatch(monkeypatch, capsys):
     import quotloc
     from quotloc.series import QSeries

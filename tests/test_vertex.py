@@ -1,5 +1,6 @@
 """Fixed points and their virtual tangent characters."""
 
+import itertools
 import math
 import random
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotloc.chars import Character, FactoredForm, Monomial, T1, T2, w_var
-from quotloc.suites import random_fixed_point
+from quotloc.chars import Character, FactoredForm, Monomial, T1, T2, t_var, w_var
+from quotloc.series import localized_forms
+from quotloc.suites import random_fixed_point, ranks_up_to
 from quotloc.vertex import (
     FixedPoint,
     Ranks,
@@ -26,6 +28,37 @@ from quotloc.vertex import (
 
 t1 = Monomial.var(T1)
 t2 = Monomial.var(T2)
+
+
+def block_keys(max_total=4, max_length=5):
+    """Every block key ``(a, b, m_a, m_b)`` of every rank pair up to total rank
+    ``max_total``, as a line table asks for it: ``a == b`` only with
+    ``m_a == m_b``.  Yields the fixed point holding just those lengths and the
+    block's framing indices ``(i, j, alpha, beta)``."""
+    lengths = range(max_length + 1)
+    for ranks in ranks_up_to(max_total):
+        slots = ranks.slots()
+        for a, b in itertools.product(range(len(slots)), repeat=2):
+            for m_a, m_b in itertools.product(lengths, repeat=2):
+                if a == b and m_a != m_b:
+                    continue
+                states = [0] * len(slots)
+                states[a], states[b] = m_a, m_b
+                (i, alpha), (j, beta) = slots[a], slots[b]
+                yield FixedPoint(ranks, tuple(states)), (i, j, alpha, beta)
+
+
+def untelescoped_block(bn, i, j, alpha, beta):
+    """``w(i,a)^-1 w(j,b) ((1 - t_i^-1) Z_jb - (1 - t1^-1)(1 - t2^-1) bar(Z_ia) Z_jb)``
+    as character products."""
+
+    def one_minus_tinv(k):
+        return Character.one() - Character.from_monomial(Monomial.var(t_var(k), -1))
+
+    z_ia = box_char(bn.length(i, alpha), i)
+    z_jb = box_char(bn.length(j, beta), j)
+    inner = one_minus_tinv(i) * z_jb - one_minus_tinv(1) * one_minus_tinv(2) * z_ia.bar() * z_jb
+    return inner * (Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta)))
 
 
 class TestRanks:
@@ -163,6 +196,32 @@ class TestVertexBlocks:
         )
         tail = Character((Monomial.var(("t", 3 - i), -a), 1) for a in range(1, m + 1))
         assert vertex_block(bn, i, i, 1, 1) == one_minus * tail
+
+    def test_telescoped_equals_untelescoped(self):
+        count = 0
+        for bn, index in block_keys():
+            assert vertex_block(bn, *index) == untelescoped_block(bn, *index), (bn, index)
+            count += 1
+        assert count == 3480
+
+    def test_determinant(self):
+        """``det`` of block ``(i j, alpha beta)`` is ``t_i^m_b``; over a fixed
+        point these multiply to no-twist's ``t1^(n r1) t2^(n r2)``."""
+        for bn, (i, j, alpha, beta) in block_keys():
+            expect = Monomial.var(t_var(i), bn.length(j, beta))
+            assert vertex_block(bn, i, j, alpha, beta).det() == expect, (bn, i, j, alpha, beta)
+
+    def test_build_multiplies_no_characters(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("block built by a character product")
+
+        monkeypatch.setattr(Character, "__mul__", refuse)
+        monkeypatch.setattr(Character, "__rmul__", refuse)
+        table = localized_forms(Ranks(2, 2), 6)
+        for _ in table.fold(lambda key: table.weight(*key), lambda acc, w: acc, None):
+            pass
+        # every key (a, b, m_a, m_b) with m_a + m_b <= 6, a == b only with m_a == m_b
+        assert len(table.weights) == 4 * 3 * math.comb(8, 2) + 4 * 7
 
 
 class TestDetChar:
