@@ -19,6 +19,7 @@ from .chars import (
     PoleAtPoint,
     TrivialDenominator,
     k_euler,
+    pair_value,
     t_var,
     u_var,
     var_name,

@@ -65,6 +65,14 @@ class PoleAtPoint(ArithmeticError):
     """A denominator factor vanished at the chosen evaluation point."""
 
 
+def pair_value(n: int, d: int):
+    """The exact rational ``n / d`` of an unreduced value pair; ``d == 0``
+    is a pole and raises :class:`PoleAtPoint`."""
+    if not d:
+        raise PoleAtPoint("a denominator factor vanishes at the point")
+    return rational(n, d)
+
+
 class Monomial:
     """An irreducible torus character ``prod var^exponent``.
 
@@ -287,31 +295,20 @@ class Character:
 
 
 class FactoredForm:
-    """A signed multiset of monomials ``m`` denoting ``prod (1 - m)^c``.
+    """``prod (1 - m)^c`` over the terms ``c m`` of a character of factors.
 
-    The image of the K-theoretic Euler operator.  ``zero`` marks the
+    The image of the K-theoretic Euler operator.  ``is_zero`` marks the
     identically-zero element (a ``(1 - 1)`` factor in the numerator); the
-    trivial monomial is never stored as a factor key.
+    trivial monomial is never a factor.  Both attributes are read-only.
     """
 
-    __slots__ = ("_factors", "_zero")
+    __slots__ = ("character", "is_zero")
 
-    def __init__(self, factors: Mapping | Iterable = (), is_zero: bool = False):
-        data: dict[Monomial, int] = {}
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        for m, c in items:
-            c = int(c)
-            if not c:
-                continue
-            if m.is_one:
-                raise ValueError("trivial monomial is not a valid factor")
-            acc = data.get(m, 0) + c
-            if acc:
-                data[m] = acc
-            else:
-                del data[m]
-        self._factors = data
-        self._zero = bool(is_zero)
+    def __init__(self, factors: Character | Mapping | Iterable = (), is_zero: bool = False):
+        self.character = factors if isinstance(factors, Character) else Character(factors)
+        self.is_zero = bool(is_zero)
+        if self.character.trivial_coefficient():
+            raise ValueError("trivial monomial is not a valid factor")
 
     @classmethod
     def one(cls) -> "FactoredForm":
@@ -322,83 +319,60 @@ class FactoredForm:
         return cls((), is_zero=True)
 
     @property
-    def is_zero(self) -> bool:
-        return self._zero
-
-    @property
     def is_one(self) -> bool:
-        return not self._zero and not self._factors
+        return not self.is_zero and self.character.is_zero
 
     def factors(self):
-        return self._factors.items()
+        return self.character.items()
 
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if not isinstance(other, FactoredForm):
             return NotImplemented
-        if self._zero or other._zero:
+        if self.is_zero or other.is_zero:
             return FactoredForm.zero()
-        data = dict(self._factors)
-        for m, c in other._factors.items():
-            acc = data.get(m, 0) + c
-            if acc:
-                data[m] = acc
-            else:
-                del data[m]
-        out = FactoredForm.__new__(FactoredForm)
-        out._factors = data
-        out._zero = False
-        return out
+        return FactoredForm(self.character + other.character)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FactoredForm)
-            and self._zero == other._zero
-            and self._factors == other._factors
+            and self.is_zero == other.is_zero
+            and self.character == other.character
         )
 
     __hash__ = None
 
     def eval_pair(self, point):
         """Exact value ``prod (1 - m(p))^c`` at a point assignment, as an
-        unreduced integer pair ``(n, d)``, ``d != 0``: the factor pairs of
-        ``point.factor`` are multiplied as plain integers.
-
-        Raises :class:`PoleAtPoint` when a factor with negative multiplicity
-        vanishes, even after a vanishing factor with positive multiplicity;
-        otherwise a vanishing factor gives ``(0, 1)``.
+        unreduced integer pair ``(n, d)``: the factor pairs of
+        ``point.factor`` are multiplied as plain integers.  A vanishing
+        numerator factor gives ``n == 0``, and a vanishing denominator factor
+        gives ``d == 0`` whatever else vanishes (see :func:`pair_value`).
         """
-        if self._zero:
+        if self.is_zero:
             return 0, 1
         num = den = 1
-        hit_zero = False
         factor = point.factor
-        for m, c in self._factors.items():
+        for m, c in self.character.items():
             a, b = factor(m)
-            if not a:
-                if c < 0:
-                    raise PoleAtPoint(f"factor 1 - {m!r} vanishes at the point")
-                hit_zero = True
-            elif hit_zero:
-                continue
-            elif c == 1:
+            if c == 1:
                 num, den = num * a, den * b
             elif c > 0:
                 num, den = num * a**c, den * b**c
             else:
                 num, den = num * b**-c, den * a**-c
-        return (0, 1) if hit_zero else (num, den)
+        return num, den
 
     def eval_point(self, point):
         """The value of :meth:`eval_pair` as one exact rational."""
-        return rational(*self.eval_pair(point))
+        return pair_value(*self.eval_pair(point))
 
     def __repr__(self) -> str:
-        if self._zero:
+        if self.is_zero:
             return "0"
-        if not self._factors:
+        if self.character.is_zero:
             return "1"
         bits = []
-        for m, c in sorted(self._factors.items(), key=lambda mc: mc[0].exponents()):
+        for m, c in sorted(self.factors(), key=lambda mc: mc[0].exponents()):
             base = f"(1 - {m!r})"
             bits.append(base if c == 1 else f"{base}^{c}")
         return "*".join(bits)
@@ -415,9 +389,4 @@ def k_euler(character: Character) -> FactoredForm:
     k0 = character.trivial_coefficient()
     if k0 < 0:
         raise TrivialDenominator("trivial weight occurs with negative multiplicity")
-    form = FactoredForm(
-        (m.inverse(), c) for m, c in character.items() if not m.is_one
-    )
-    if k0 > 0:
-        return FactoredForm.zero()
-    return form
+    return FactoredForm.zero() if k0 else FactoredForm(character.bar())

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chars import FactoredForm, Monomial, k_euler
-from .rational import rational
+from .chars import FactoredForm, Monomial, k_euler, pair_value
 from .series import BlockTable, line_table
 from .vertex import FixedPoint, Ranks, vertex_block
 
@@ -93,7 +92,7 @@ class LimitValue:
         return self.sign * a * n, b * d
 
     def eval_point(self, point):
-        return rational(*self.eval_pair(point))
+        return pair_value(*self.eval_pair(point))
 
 
 def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:

@@ -134,25 +134,20 @@ def seeded_point(variables: Iterable, seed: int) -> PointAssignment:
     return draw_point(variables, rational_stream(seed))
 
 
-def retry_points(
-    variables: Iterable,
-    stream: Iterator,
-    compute: Callable[[PointAssignment], object],
-    attempts: int = MAX_POINT_ATTEMPTS,
-):
+def retry_points(variables: Iterable, stream: Iterator, compute: Callable):
     """Run ``compute`` at fresh points until it stops raising ``PoleAtPoint``.
 
     Returns the ``(point, result)`` pair of the first success.  Raises
-    :class:`PointExhausted` after ``attempts`` rejected points.
+    :class:`PointExhausted` after ``MAX_POINT_ATTEMPTS`` rejected points.
+    This is the one place where a pole is caught.
     """
     variables = sorted(variables)
-    for _ in range(attempts):
+    for _ in range(MAX_POINT_ATTEMPTS):
         point = draw_point(variables, stream)
         try:
             return point, compute(point)
         except PoleAtPoint:
             continue
     raise PointExhausted(
-        f"no pole-free point among {attempts} candidates for {[var_name(v) for v in variables]}"
+        f"no pole-free point among {MAX_POINT_ATTEMPTS} candidates for {[var_name(v) for v in variables]}"
     )
-

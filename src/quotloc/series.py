@@ -19,7 +19,6 @@ from .chars import (
     T2,
     FactoredForm,
     Monomial,
-    PoleAtPoint,
     k_euler,
     t_var,
     u_var,
@@ -58,14 +57,6 @@ class QSeries:
     def _check(self, other: "QSeries"):
         if self.order != other.order:
             raise ValueError("truncation orders differ")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        return QSeries(a + b for a, b in zip(self._coeffs, other._coeffs))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        return QSeries(a - b for a, b in zip(self._coeffs, other._coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
@@ -231,22 +222,20 @@ def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     """Evaluate a block table at one point and sum each degree: a
     :meth:`BlockTable.fold` of block values by products.  Block values are
     unreduced integer pairs (:meth:`FactoredForm.eval_pair`), multiplied as
-    plain integers and normalised once per fixed point.  A fixed point with
-    a block that vanishes or has a pole here is evaluated whole, since one
-    factor can sit in two blocks with opposite signs: so zeros and
-    :class:`PoleAtPoint` are exactly those of the merged weights.
+    plain integers and normalised once per fixed point.  A fixed point whose
+    pair has ``n == 0`` or ``d == 0`` is evaluated whole, since one factor
+    can sit in two blocks with opposite signs: so its zeros and poles
+    (:class:`~quotloc.chars.PoleAtPoint`, raised by
+    :func:`~quotloc.chars.pair_value`) are exactly those of the merged weight.
     """
     totals = [RAT_ZERO] * (table.order + 1)
 
-    def value(key):  # None: zero class; (0, 1): vanishes or has a pole here
+    def value(key):  # None: the zero class
         w = table.weight(*key)
-        try:
-            return w if w is None else w.eval_pair(point)
-        except PoleAtPoint:
-            return 0, 1
+        return w if w is None else w.eval_pair(point)
 
     for states, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
-        totals[size] += rational(n, d) if n else table.fixed_point_weight(states).eval_point(point)
+        totals[size] += rational(n, d) if n and d else table.fixed_point_weight(states).eval_point(point)
     return QSeries(totals)
 
 
@@ -385,8 +374,8 @@ def cy_order(form: FactoredForm) -> int:
 
 def weight_det(form: FactoredForm) -> Monomial:
     """``det T`` of the character ``T`` whose weight is ``form = k_euler(-T)``:
-    ``prod m^k`` over the factors ``(m, k)``."""
-    return math.prod((m**k for m, k in form.factors()), start=Monomial.one())
+    the determinant ``prod m^k`` of its character of factors ``sum k m``."""
+    return form.character.det()
 
 
 def cy_first_order(forms: list, rest_point: PointAssignment):
@@ -395,7 +384,8 @@ def cy_first_order(forms: list, rest_point: PointAssignment):
     ``D``, at the rest point ``(t2, w)`` with ``t1 := 1/t2``.
 
     Raises :class:`~quotloc.chars.PoleAtPoint` when a non-diagonal
-    denominator factor vanishes there.
+    denominator factor vanishes there, since the remaining factors are then
+    evaluated to a pair with ``d == 0``.
     """
     point = rest_point.with_values({T1: 1 / rest_point.value(T2)})
     total = RAT_ZERO

@@ -179,53 +179,29 @@ def suite_framing(ranks=Ranks(2, 2), order=5, num_assignments=3, seed=1):
 
 
 def suite_factorization(ranks_list=FACTORIZATION_RANKS, order=4, num_points=3, seed=1):
-    """Limit calculus and the explicit rank-one factorization of the series."""
+    """Limit calculus and the explicit rank-one factorization of the series:
+    the limit table's sum, the product of q-shifted rank-one closed forms and
+    the localized sum all equal the closed form at one full point."""
     report = SuiteReport("factorization")
     for ranks in ranks_list:
-        stream = rational_stream(seed)
         forms = localized_forms(ranks, order)
         limits = limit_table(ranks, order)
-        for _ in range(num_points):
-            t_point = draw_point((T1, T2), stream)
-            closed = z_closed(ranks, t_point, order)
-            _series_check(
-                report,
-                f"limits-sum r={ranks.r1},{ranks.r2}",
-                t_point,
-                eval_forms(limits, t_point),
-                closed,
-            )
-            # explicit product of q-shifted rank-one factors
-            t1, t2 = t_point.value(T1), t_point.value(T2)
+
+        def sides(p):
+            t1, t2 = p.value(T1), p.value(T2)
+            line1, line2 = z_closed(Ranks(1, 0), p, order), z_closed(Ranks(0, 1), p, order)
             product = QSeries.one(order)
             for a in range(1, ranks.r1 + 1):
-                shift = t1 ** (ranks.r1 - a) * t2**ranks.r2
-                product = product * z_closed(Ranks(1, 0), t_point, order).scale_q(shift)
+                product = product * line1.scale_q(t1 ** (ranks.r1 - a) * t2**ranks.r2)
             for a in range(1, ranks.r2 + 1):
-                shift = t2 ** (ranks.r2 - a)
-                product = product * z_closed(Ranks(0, 1), t_point, order).scale_q(shift)
-            _series_check(
-                report,
-                f"factorized-product r={ranks.r1},{ranks.r2}",
-                t_point,
-                product,
-                closed,
-            )
-            # and the localized sum itself, with framing values drawn on top
-            def eval_with_framing(wp):
-                full = t_point.with_values({v: wp.value(v) for v in wp.variables()})
-                return full, eval_forms(forms, full)
+                product = product * line2.scale_q(t2 ** (ranks.r2 - a))
+            return eval_forms(limits, p), product, eval_forms(forms, p), z_closed(ranks, p, order)
 
-            _, (full_point, localized) = retry_points(
-                ranks.w_vars(), stream, eval_with_framing
-            )
-            _series_check(
-                report,
-                f"localized-vs-factorized r={ranks.r1},{ranks.r2}",
-                full_point,
-                localized,
-                closed,
-            )
+        stream = rational_stream(seed)
+        for _ in range(num_points):
+            point, (*sums, closed) = retry_points(ranks.variables(), stream, sides)
+            for label, lhs in zip(("limits-sum", "factorized-product", "localized-vs-factorized"), sums):
+                _series_check(report, f"{label} r={ranks.r1},{ranks.r2}", point, lhs, closed)
     return report
 
 

@@ -16,6 +16,7 @@ from quotloc.chars import (
     U2,
     TrivialDenominator,
     k_euler,
+    pair_value,
     u_var,
     w_var,
 )
@@ -138,6 +139,30 @@ class TestEvalPoint:
         f = FactoredForm([(t2, -1)])
         with pytest.raises(PoleAtPoint):
             f.eval_point(PointAssignment({T2: rational(1)}))
+
+    @pytest.mark.parametrize("denominator_first", [False, True])
+    def test_vanishing_denominator_gives_zero_d(self, denominator_first):
+        """A vanishing denominator factor makes ``d == 0`` whatever vanishes
+        before or after it."""
+        factors = [(t1, 2), (w11, -1)]
+        f = FactoredForm(factors[::-1] if denominator_first else factors)
+        assert [m for m, _ in f.factors()][0] == (w11 if denominator_first else t1)
+        _, d = f.eval_pair(PointAssignment({T1: rational(1), w_var(1, 1): rational(1)}))
+        assert d == 0
+
+    def test_vanishing_numerator_gives_zero_n(self):
+        f = FactoredForm([(t1, 2), (w11, -1)])
+        n, d = f.eval_pair(PointAssignment({T1: rational(1), w_var(1, 1): rational(3)}))
+        assert n == 0 and d != 0
+
+    def test_pair_value(self):
+        assert pair_value(6, -4) == rational(-3, 2)
+        with pytest.raises(PoleAtPoint):
+            pair_value(0, 0)
+
+    def test_trivial_factor_rejected(self):
+        with pytest.raises(ValueError):
+            FactoredForm([(t1, 1), (Monomial.one(), -1)])
 
     def test_zero_flag_evaluates_to_zero(self):
         p = PointAssignment({T1: rational(2)})

@@ -1,7 +1,12 @@
 """Seeded point streams, memoized evaluation and the retry protocol."""
 
+import ast
+import pathlib
+
 import pytest
 
+import quotloc
+from quotloc import points
 from quotloc.chars import Monomial, PoleAtPoint, T1, T2, w_var
 from quotloc.points import (
     PointAssignment,
@@ -87,9 +92,47 @@ def test_retry_skips_poles():
     assert result == point.value(T1)
 
 
-def test_retry_exhaustion():
-    def always_pole(_):
+def test_retry_exhaustion(monkeypatch):
+    """The attempt budget is ``MAX_POINT_ATTEMPTS``, read at call time."""
+    monkeypatch.setattr(points, "MAX_POINT_ATTEMPTS", 7)
+    draws = []
+
+    def always_pole(point):
+        draws.append(point)
         raise PoleAtPoint("never works")
 
-    with pytest.raises(PointExhausted):
-        retry_points([T1], rational_stream(5), always_pole, attempts=7)
+    with pytest.raises(PointExhausted, match="among 7 candidates"):
+        retry_points([T1], rational_stream(5), always_pole)
+    assert len(draws) == 7
+
+
+def _pole_sites():
+    """``(kind, module.function)`` for every ``except PoleAtPoint`` and
+    ``raise PoleAtPoint`` in the package source."""
+    sites = []
+    for path in sorted(pathlib.Path(quotloc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)  # outermost function wins
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                kind, names = "except", ast.walk(node.type)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                kind, names = "raise", ast.walk(node.exc)
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == "PoleAtPoint" for n in names):
+                sites.append((kind, f"{path.stem}.{owner.get(node, '<module>')}"))
+    return sites
+
+
+def test_one_pole_rule():
+    """A pole is a zero denominator: ``pair_value`` is the only place that
+    raises ``PoleAtPoint``, and ``retry_points`` the only place that catches it."""
+    assert sorted(_pole_sites()) == [
+        ("except", "points.retry_points"),
+        ("raise", "chars.pair_value"),
+    ]

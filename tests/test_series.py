@@ -79,7 +79,7 @@ class TestQSeries:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            QSeries([1, 2]) + QSeries([1])
+            QSeries([1, 2]) * QSeries([1])
 
     @given(st.lists(nonzero_rationals(), min_size=1, max_size=5),
            st.lists(nonzero_rationals(), min_size=1, max_size=5))

@@ -3,8 +3,8 @@
 import pytest
 
 from quotloc import oracle, series, suites
-from quotloc.chars import Character, Monomial, T1, w_var
-from quotloc.points import PointAssignment
+from quotloc.chars import Character, Monomial, PoleAtPoint, T1, w_var
+from quotloc.points import PointAssignment, draw_point, rational_stream
 from quotloc.rational import rational
 from quotloc.series import QSeries
 from quotloc.suites import (
@@ -162,3 +162,31 @@ def test_tables_are_built_once_per_rank_pair(monkeypatch, suite):
         assert suite(num_points).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_factorization_redraws_the_whole_point_on_a_pole(monkeypatch):
+    """A pole in the first limit-table evaluation rejects the whole point,
+    ``t`` values included: the next full point of the stream is used for
+    all three checks, and the suite passes with its usual 27 checks."""
+    limit_tables, seen = [], []
+
+    def recording_limit_table(*args):
+        limit_tables.append(limit_table(*args))
+        return limit_tables[-1]
+
+    def eval_forms(table, point):
+        seen.append(point)
+        if table is limit_tables[0] and len(seen) == 1:
+            raise PoleAtPoint("forced")
+        return evaluate(table, point)
+
+    limit_table, evaluate = suites.limit_table, suites.eval_forms
+    monkeypatch.setattr(suites, "limit_table", recording_limit_table)
+    monkeypatch.setattr(suites, "eval_forms", eval_forms)
+    report = suite_factorization()
+    assert report.passed and report.checks == 27
+    ranks = suites.FACTORIZATION_RANKS[0]
+    stream = rational_stream(1)
+    first, second = (draw_point(ranks.variables(), stream) for _ in range(2))
+    assert seen[0].items() == first.items()
+    assert seen[1].items() == seen[2].items() == second.items()
