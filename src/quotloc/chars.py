@@ -83,9 +83,21 @@ class Monomial:
     __slots__ = ("_exps", "_hash")
 
     def __init__(self, exponents: Mapping | Iterable = ()):
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        self._exps = tuple(sorted((v, int(e)) for v, e in items if e))
+        if not isinstance(exponents, Mapping):  # a repeated variable adds up
+            merged: dict = {}
+            for v, e in exponents:
+                merged[v] = merged.get(v, 0) + e
+            exponents = merged
+        self._exps = tuple(sorted((v, int(e)) for v, e in exponents.items() if e))
         self._hash = hash(self._exps)
+
+    @classmethod
+    def _canonical(cls, exps: tuple) -> "Monomial":
+        """The monomial of a sorted tuple of nonzero exponents, built from a list:
+        a tuple grown from a generator can keep its over-allocated block."""
+        out = cls.__new__(cls)
+        out._exps, out._hash = exps, hash(exps)
+        return out
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -93,7 +105,7 @@ class Monomial:
 
     @classmethod
     def var(cls, var, exponent: int = 1) -> "Monomial":
-        return cls(((var, exponent),))
+        return cls._canonical(((var, int(exponent)),) if exponent else ())
 
     def exponents(self) -> tuple:
         """The stored ``(variable, exponent)`` pairs, sorted by variable."""
@@ -127,15 +139,15 @@ class Monomial:
     def __pow__(self, k: int) -> "Monomial":
         if k == 1:
             return self
-        return Monomial((v, e * k) for v, e in self._exps)
+        return Monomial._canonical(tuple([(v, e * k) for v, e in self._exps]) if k else ())
 
     def inverse(self) -> "Monomial":
         """The bar involution on an irreducible character: negate exponents."""
-        return Monomial((v, -e) for v, e in self._exps)
+        return Monomial._canonical(tuple([(v, -e) for v, e in self._exps]))
 
     def restrict(self, keep) -> "Monomial":
         """Sub-monomial over the variables for which ``keep(var)`` is true."""
-        return Monomial((v, e) for v, e in self._exps if keep(v))
+        return Monomial._canonical(tuple([(v, e) for v, e in self._exps if keep(v)]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
@@ -297,16 +309,15 @@ class Character:
 class FactoredForm:
     """``prod (1 - m)^c`` over the terms ``c m`` of a character of factors.
 
-    The image of the K-theoretic Euler operator.  ``is_zero`` marks the
-    identically-zero element (a ``(1 - 1)`` factor in the numerator); the
-    trivial monomial is never a factor.  Both attributes are read-only.
+    The image of the K-theoretic Euler operator, never identically zero: the
+    zero class is ``None`` (see :func:`k_euler`).  The trivial monomial is
+    never a factor, and ``character`` is read-only.
     """
 
-    __slots__ = ("character", "is_zero")
+    __slots__ = ("character",)
 
-    def __init__(self, factors: Character | Mapping | Iterable = (), is_zero: bool = False):
+    def __init__(self, factors: Character | Mapping | Iterable = ()):
         self.character = factors if isinstance(factors, Character) else Character(factors)
-        self.is_zero = bool(is_zero)
         if self.character.trivial_coefficient():
             raise ValueError("trivial monomial is not a valid factor")
 
@@ -314,13 +325,9 @@ class FactoredForm:
     def one(cls) -> "FactoredForm":
         return cls()
 
-    @classmethod
-    def zero(cls) -> "FactoredForm":
-        return cls((), is_zero=True)
-
     @property
     def is_one(self) -> bool:
-        return not self.is_zero and self.character.is_zero
+        return self.character.is_zero
 
     def factors(self):
         return self.character.items()
@@ -328,16 +335,10 @@ class FactoredForm:
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if not isinstance(other, FactoredForm):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return FactoredForm.zero()
         return FactoredForm(self.character + other.character)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FactoredForm)
-            and self.is_zero == other.is_zero
-            and self.character == other.character
-        )
+        return isinstance(other, FactoredForm) and self.character == other.character
 
     __hash__ = None
 
@@ -348,8 +349,6 @@ class FactoredForm:
         numerator factor gives ``n == 0``, and a vanishing denominator factor
         gives ``d == 0`` whatever else vanishes (see :func:`pair_value`).
         """
-        if self.is_zero:
-            return 0, 1
         num = den = 1
         factor = point.factor
         for m, c in self.character.items():
@@ -367,8 +366,6 @@ class FactoredForm:
         return pair_value(*self.eval_pair(point))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
         if self.character.is_zero:
             return "1"
         bits = []
@@ -378,15 +375,15 @@ class FactoredForm:
         return "*".join(bits)
 
 
-def k_euler(character: Character) -> FactoredForm:
+def k_euler(character: Character) -> FactoredForm | None:
     """The K-theoretic Euler operator on a virtual character.
 
     ``sum_mu t^mu - sum_nu t^nu`` maps to
     ``prod_mu (1 - t^-mu) / prod_nu (1 - t^-nu)``.  A trivial weight with
-    positive multiplicity makes the result the zero class; with negative
-    multiplicity the operator is undefined.
+    positive multiplicity makes the result the zero class ``None``; with
+    negative multiplicity the operator is undefined.
     """
     k0 = character.trivial_coefficient()
     if k0 < 0:
         raise TrivialDenominator("trivial weight occurs with negative multiplicity")
-    return FactoredForm.zero() if k0 else FactoredForm(character.bar())
+    return None if k0 else FactoredForm(character.bar())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .chars import FactoredForm, Monomial, k_euler, pair_value
 from .series import BlockTable, line_table
-from .vertex import FixedPoint, Ranks, vertex_block
+from .vertex import FixedPoint, Ranks
 
 GROWING, NEUTRAL, DECAYING = 1, 0, -1
 
@@ -101,8 +101,6 @@ def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
     Raises :class:`DivergentLimit` when the product of growing monomials
     retains a framing variable.
     """
-    if form.is_zero:
-        raise ValueError("the zero factored form has no framing limit")
     kept = []
     residual = Monomial.one()
     growing_multiplicity = 0
@@ -121,12 +119,6 @@ def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
         )
     sign = -1 if growing_multiplicity % 2 else 1
     return LimitValue(sign, residual, FactoredForm(kept))
-
-
-def block_limit(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> LimitValue:
-    """Framing limit of one block's localization weight."""
-    block = vertex_block(bn, i, j, alpha, beta)
-    return framing_limit(k_euler(-block), SpeedOrder(bn.ranks))
 
 
 def limit_table(ranks: Ranks, order: int) -> BlockTable:

@@ -131,9 +131,10 @@ def taut_char(tup: PartitionTuple) -> Character:
     return twist * q
 
 
-def oracle_contribution(tup: PartitionTuple) -> FactoredForm:
-    """One tuple's weight: ``k_euler(insertion) * k_euler(-T)``."""
-    return k_euler(taut_char(tup)) * k_euler(-plane_tvir(tup))
+def oracle_contribution(tup: PartitionTuple) -> FactoredForm | None:
+    """One tuple's weight ``k_euler(insertion) * k_euler(-T)``; ``None`` for the zero class."""
+    insertion = k_euler(taut_char(tup))
+    return None if insertion is None else insertion * k_euler(-plane_tvir(tup))
 
 
 def pair_tangent(lam_a: tuple, lam_b: tuple) -> Character:
@@ -156,9 +157,7 @@ class PlaneBlocks:
         (i, alpha), (j, beta) = self.frame[a], self.frame[b]
         w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
         insertion = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
-        if insertion.is_zero:
-            return None
-        return insertion * k_euler(-(self.tangent(lam_a, lam_b) * w))
+        return None if insertion is None else insertion * k_euler(-(self.tangent(lam_a, lam_b) * w))
 
     def invariants(self, key) -> tuple:
         """Rank and trivial coefficient of the tangent block ``w P`` and rank of the

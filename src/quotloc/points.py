@@ -25,11 +25,11 @@ class PointExhausted(RuntimeError):
 class PointAssignment:
     """A map from variable ids to nonzero exact rationals.
 
-    Monomial values and factor values are memoized per assignment, which
-    makes repeated evaluation of factored forms at the same point cheap.
+    Factor values are memoized per assignment, which makes repeated
+    evaluation of factored forms at the same point cheap.
     """
 
-    __slots__ = ("_values", "_memo", "_factors")
+    __slots__ = ("_values", "_factors")
 
     def __init__(self, values):
         vals = dict(values)
@@ -37,7 +37,6 @@ class PointAssignment:
             if not q:
                 raise ValueError(f"variable {var_name(v)} assigned zero")
         self._values = vals
-        self._memo = {}
         self._factors = {}
 
     def value(self, var):
@@ -63,13 +62,6 @@ class PointAssignment:
             else:
                 n, d = n * b**-e, d * a**-e
         return (n, d) if d > 0 else (-n, -d)
-
-    def monomial_value(self, monomial):
-        memo = self._memo
-        got = memo.get(monomial)
-        if got is None:
-            got = memo[monomial] = rational(*self.monomial_pair(monomial))
-        return got
 
     def factor(self, monomial):
         """``1 - m(p)`` as an unreduced integer pair ``(d - n, d)``."""

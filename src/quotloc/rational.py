@@ -1,15 +1,7 @@
-"""Exact rational scalar shared by every module.
+"""Exact rational scalar shared by every module: the stdlib
+``fractions.Fraction``, imported under the one name ``rational``."""
 
-The stdlib ``fractions.Fraction`` is the default.  When gmpy2 is installed
-(the optional ``fast`` extra), its ``mpq`` is used instead as a faster
-drop-in.  Both expose ``.numerator``/``.denominator`` and interoperate, so
-nothing downstream depends on which one is active.
-"""
-
-try:
-    from gmpy2 import mpq as rational
-except ImportError:  # the default: gmpy2 is an optional extra
-    from fractions import Fraction as rational
+from fractions import Fraction as rational
 
 ZERO = rational(0)
 ONE = rational(1)

@@ -25,7 +25,7 @@ from .chars import (
 )
 from .points import PointAssignment
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO, rational
-from .vertex import FixedPoint, Ranks, vertex_block
+from .vertex import Ranks, vertex_block
 
 
 class QSeries:
@@ -196,14 +196,12 @@ class BlockTable:
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
     """The fixed-line sum as a block table: a slot's state is its length and
-    block ``(a, b)`` has weight ``weight(vertex_block(...))``."""
+    block ``(a, b, m_a, m_b)`` has weight ``weight(vertex_block(slots[a],
+    slots[b], m_a, m_b))``, with ``slots = ranks.slots()``."""
     slots = ranks.slots()
 
     def block(a, b, m_a, m_b):
-        lengths = [0] * len(slots)
-        lengths[a], lengths[b] = m_a, m_b
-        (i, alpha), (j, beta) = slots[a], slots[b]
-        return weight(vertex_block(FixedPoint(ranks, tuple(lengths)), i, j, alpha, beta))
+        return weight(vertex_block(slots[a], slots[b], m_a, m_b))
 
     return BlockTable(len(slots), order, lambda n: (n,), block)
 
@@ -367,15 +365,9 @@ def cy_order(form: FactoredForm) -> int:
 
     Every factor ``1 - m`` with ``m`` not a power of ``t1 t2`` restricts to a
     nonzero function on ``D``, so only the diagonal factors count.  Weights
-    of fixed points are never the zero form (movability).
+    of fixed points are never the zero class (movability).
     """
     return sum(c for m, c in form.factors() if diagonal_power(m))
-
-
-def weight_det(form: FactoredForm) -> Monomial:
-    """``det T`` of the character ``T`` whose weight is ``form = k_euler(-T)``:
-    the determinant ``prod m^k`` of its character of factors ``sum k m``."""
-    return form.character.det()
 
 
 def cy_first_order(forms: list, rest_point: PointAssignment):

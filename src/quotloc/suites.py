@@ -18,17 +18,15 @@ from .chars import (
     T1,
     T2,
     k_euler,
+    pair_value,
     t_var,
     u_var,
     w_var,
 )
 from .limits import (
     LimitValue,
-    SpeedOrder,
-    block_limit,
     crossing_shift_monomial,
     factored_shift_monomial,
-    framing_limit,
     limit_table,
 )
 from .oracle import oracle_forms, partition_tuples, plane_invariants
@@ -43,9 +41,9 @@ from .series import (
     eval_forms,
     euler_char_series,
     half_weight_twist,
+    line_table,
     localized_forms,
     twisted_point,
-    weight_det,
     z_closed,
     z_rank1_product,
     zcoh_closed,
@@ -209,21 +207,19 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
     """Block-by-block framing limits: the two symbolic limit identities,
     the q-shift bookkeeping and numeric convergence toward the limit."""
     report = SuiteReport("limits")
-    slots = ranks.slots()
+    slots, table = ranks.slots(), limit_table(ranks, max_len)
     for lo in range(len(slots)):
         for hi in range(lo + 1, len(slots)):
             (i, alpha), (j, beta) = slots[lo], slots[hi]
             for n_low in range(max_len + 1):
                 for n_high in range(max_len + 1):
-                    lengths = [0] * len(slots)
-                    lengths[lo], lengths[hi] = n_low, n_high
-                    bn = FixedPoint(ranks, tuple(lengths))
-                    fwd = block_limit(bn, i, j, alpha, beta)
+                    bn = _pair_point(ranks, {lo: n_low, hi: n_high})
+                    fwd = table.weight(lo, hi, n_low, n_high)
                     report.check(
                         fwd.is_one,
                         lambda: f"limit of block ({i}{j},{alpha}{beta}) at {bn} is {fwd} != 1",
                     )
-                    back = block_limit(bn, j, i, beta, alpha)
+                    back = table.weight(hi, lo, n_high, n_low)
                     expected = LimitValue.from_monomial(Monomial.var(("t", j), n_low))
                     report.check(
                         back == expected,
@@ -240,6 +236,11 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
     return report
 
 
+def _pair_point(ranks, lengths: dict) -> FixedPoint:
+    """The fixed point with ``lengths[k]`` on slot ``k`` and 0 elsewhere."""
+    return FixedPoint(ranks, tuple(lengths.get(k, 0) for k in range(ranks.total)))
+
+
 def _limits_numeric_convergence(report, ranks, seed):
     """Evaluating at concrete hierarchical speeds approaches the limit: slot
     ``k`` moves as ``big^(8^k)``, so raising ``big`` from ``10^3`` to ``10^6``
@@ -248,15 +249,13 @@ def _limits_numeric_convergence(report, ranks, seed):
     t_point = draw_point((T1, T2), stream)
     slots = ranks.slots()
     speeds = {w_var(i, a): 8**k for k, (i, a) in enumerate(slots)}
-    order = SpeedOrder(ranks)
+    forms, limits = localized_forms(ranks, 3), limit_table(ranks, 3)
     for lo in range(len(slots)):
         for hi in range(lo + 1, len(slots)):
             (i, alpha), (j, beta) = slots[lo], slots[hi]
-            lengths = [0] * len(slots)
-            lengths[lo], lengths[hi] = 2, 3
-            bn = FixedPoint(ranks, tuple(lengths))
-            form = k_euler(-vertex_block(bn, j, i, beta, alpha))
-            limit_value = framing_limit(form, order).eval_point(t_point)
+            bn = _pair_point(ranks, {lo: 2, hi: 3})
+            form = forms.weight(hi, lo, 3, 2)
+            limit_value = limits.weight(hi, lo, 3, 2).eval_point(t_point)
             gaps = []
             for big in (10**3, 10**6):
                 w_values = {v: rational(big) ** n for v, n in speeds.items()}
@@ -316,13 +315,13 @@ def suite_cohomological(ranks_list=TWIST_RANKS, order=4, num_points=5, seed=1):
 def suite_no_twist(
     det_ranks=ranks_up_to(4), det_len=5, ranks_list=TWIST_RANKS, order=5, num_points=5, seed=1
 ):
-    """Determinant of the tangent character, a product over the blocks of
-    the localized table (:func:`~quotloc.series.weight_det`), and the
+    """Determinant of the tangent character, the product of the dets of its
+    blocks ``T_ab`` (a line table of the blocks themselves), and the
     half-weight twisted series against its closed form."""
     report = SuiteReport("no-twist")
     for ranks in det_ranks:
-        table = localized_forms(ranks, det_len)
-        block_det = lambda key: weight_det(table.block(*key))  # weights are not kept
+        table = line_table(ranks, det_len, lambda block: block)
+        block_det = lambda key: table.block(*key).det()  # blocks are not kept
         dets = {bn: det for bn, _, det in table.fold(block_det, operator.mul, Monomial.one())}
         for n in range(det_len + 1):
             expected = Monomial([(T1, n * ranks.r1), (T2, n * ranks.r2)])
@@ -336,7 +335,7 @@ def suite_no_twist(
         forms, twist = localized_forms(ranks, order), half_weight_twist(ranks)
         _compare_at_points(
             report, f"twisted r={ranks.r1},{ranks.r2}", (u_var(1), u_var(2)) + ranks.w_vars(),
-            lambda p: eval_forms(forms, twisted_point(p)).scale_q(p.monomial_value(twist)),
+            lambda p: eval_forms(forms, twisted_point(p)).scale_q(pair_value(*p.monomial_pair(twist))),
             lambda p: zhat_closed(ranks, p, order), num_points, seed,
         )
     return report
@@ -485,11 +484,8 @@ def suite_diagonal_blocks(max_len=8):
     ``(1 - t_i^-1) sum_(a=1..m) t_ihat^-a``."""
     report = SuiteReport("diagonal-blocks")
     for i in (1, 2):
-        ranks = Ranks(1, 1)
         for m in range(max_len + 1):
-            lengths = (m, 0) if i == 1 else (0, m)
-            bn = FixedPoint(ranks, lengths)
-            block = vertex_block(bn, i, i, 1, 1)
+            block = vertex_block((i, 1), (i, 1), m, m)
             one_minus = Character.one() - Character.from_monomial(
                 Monomial.var(t_var(i), -1)
             )

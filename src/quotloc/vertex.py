@@ -155,8 +155,8 @@ def vertex_term(bn: FixedPoint) -> Character:
     return term
 
 
-def vertex_block(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> Character:
-    """The ``(i j, alpha beta)`` block of the vertex term,
+def vertex_block(slot_a: tuple, slot_b: tuple, m_a: int, m_b: int) -> Character:
+    """The vertex-term block of slots ``(i, alpha)``, ``(j, beta)`` with lengths ``m_a``, ``m_b``,
 
     ``w(i,a)^-1 w(j,b) ((1 - t_i^-1) Z_(j,b) - (1-t1^-1)(1-t2^-1) bar(Z_(i,a)) Z_(j,b))``,
 
@@ -165,11 +165,12 @@ def vertex_block(bn: FixedPoint, i: int, j: int, alpha: int, beta: int) -> Chara
     ``(1 - t_ihat^-1) bar(Z_(i,a)) = 1 - t_ihat^-m_a``.  For ``i != j`` the block
     is the prefix times ``t_i^(m_b - 1) - t_i^-1``; for ``i == j`` it has ``2 m_b``
     distinct terms.  Each monomial is written from its exponents, with no
-    character product.  Summing over all index pairs reproduces :func:`vertex_term`.
+    character product.  Summing the blocks of all slot pairs of a fixed point
+    reproduces :func:`vertex_term`.
     """
-    m_b = bn.length(j, beta)
-    t_i, t_ihat, shift = t_var(i), t_var(3 - i), -bn.length(i, alpha)
-    w = {} if (i, alpha) == (j, beta) else {w_var(i, alpha): -1, w_var(j, beta): 1}
+    (i, alpha), (j, beta) = slot_a, slot_b
+    t_i, t_ihat, shift = t_var(i), t_var(3 - i), -m_a
+    w = {} if slot_a == slot_b else {w_var(i, alpha): -1, w_var(j, beta): 1}
     terms = []
     if i == j:
         for k in range(shift, shift + m_b):
@@ -183,9 +184,9 @@ def vertex_blocks_sum(bn: FixedPoint) -> Character:
     """The vertex term reassembled from its blocks (internal cross-check)."""
     slots = bn.ranks.slots()
     total = Character.zero()
-    for i, alpha in slots:
-        for j, beta in slots:
-            total = total + vertex_block(bn, i, j, alpha, beta)
+    for a in slots:
+        for b in slots:
+            total = total + vertex_block(a, b, bn.length(*a), bn.length(*b))
     return total
 
 

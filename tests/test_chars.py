@@ -35,6 +35,11 @@ def char(*terms):
     return Character(terms)
 
 
+def value(point, m):
+    """``m(p)`` as one exact rational."""
+    return pair_value(*point.monomial_pair(m))
+
+
 class TestMonomial:
     def test_canonical_form_drops_zero_exponents(self):
         assert Monomial({T1: 0, T2: 3}) == Monomial({T2: 3})
@@ -48,6 +53,24 @@ class TestMonomial:
     def test_pow(self):
         assert t1**3 == Monomial({T1: 3})
         assert t1**0 == Monomial.one()
+        assert (t1 * t2) ** 0 == Monomial.one() and ((t1 * t2) ** 0).is_one
+
+    def test_repeated_variable_adds_up(self):
+        """An iterable naming a variable twice is the product of its entries."""
+        assert Monomial([(T1, 1), (T1, -1)]) == Monomial.one()
+        assert Monomial([(T1, 1), (T1, -1)]).is_one
+        assert repr(Monomial([(T1, 1), (T1, -1)])) == "1"
+        assert Monomial([(T1, 1), (T1, 2)]) == Monomial({T1: 3})
+        assert Monomial([(T2, 2), (T1, 1), (T2, -1)]).exponents() == ((T1, 1), (T2, 1))
+
+    @given(st.lists(st.tuples(st.sampled_from((T1, T2, w_var(1, 1))), st.integers(-3, 3))))
+    def test_iterable_is_the_product_of_its_entries(self, entries):
+        want = Monomial.one()
+        for v, e in entries:
+            want = want * Monomial.var(v, e)
+        got = Monomial(entries)
+        assert got == want and hash(got) == hash(want)
+        assert got.is_one == (repr(got) == "1")
 
     @given(monomials(), monomials())
     def test_commutative(self, a, b):
@@ -108,7 +131,17 @@ class TestKEuler:
         assert f == FactoredForm([(t1.inverse(), 1), (t2.inverse(), -1)])
 
     def test_trivial_numerator_is_zero(self):
-        assert k_euler(Character.one() + char((t1, 1))).is_zero
+        assert k_euler(Character.one() + char((t1, 1))) is None
+
+    @given(characters())
+    def test_zero_class_exactly_on_positive_trivial_weight(self, c):
+        """``k_euler(c)`` is ``None`` exactly when the trivial weight has
+        positive multiplicity, and raises when it has negative multiplicity."""
+        if c.trivial_coefficient() < 0:
+            with pytest.raises(TrivialDenominator):
+                k_euler(c)
+        else:
+            assert (k_euler(c) is None) == (c.trivial_coefficient() > 0)
 
     def test_trivial_denominator_raises(self):
         with pytest.raises(TrivialDenominator):
@@ -164,10 +197,6 @@ class TestEvalPoint:
         with pytest.raises(ValueError):
             FactoredForm([(t1, 1), (Monomial.one(), -1)])
 
-    def test_zero_flag_evaluates_to_zero(self):
-        p = PointAssignment({T1: rational(2)})
-        assert FactoredForm.zero().eval_point(p) == 0
-
     @given(characters(allow_trivial=False), st.integers(0, 2**32))
     @settings(max_examples=60)
     def test_reciprocal_pairs(self, c, seed):
@@ -193,14 +222,14 @@ class TestHalfWeights:
     )
 
     def test_single_variable(self):
-        assert twisted_point(self.point).monomial_value(t1) == rational(4)
+        assert value(twisted_point(self.point), t1) == rational(4)
 
     def test_mixed(self):
-        got = twisted_point(self.point).monomial_value(t1 * t2.inverse())
+        got = value(twisted_point(self.point), t1 * t2.inverse())
         assert got == rational(4) / rational(9, 25)
 
     def test_framing_passthrough(self):
-        got = twisted_point(self.point).monomial_value(t1 * w11)
+        got = value(twisted_point(self.point), t1 * w11)
         assert got == rational(4) * rational(7, 4)
 
     def test_twist_monomial(self):
@@ -219,9 +248,9 @@ class TestHalfWeights:
         expect = (
             p.value(U1) ** (2 * m.exponent(T1))
             * p.value(U2) ** (2 * m.exponent(T2))
-            * p.monomial_value(m.restrict(lambda v: v[0] == "w"))
+            * value(p, m.restrict(lambda v: v[0] == "w"))
         )
-        assert twisted_point(p).monomial_value(m) == expect
+        assert value(twisted_point(p), m) == expect
 
 
 class TestCohEuler:

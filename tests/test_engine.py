@@ -30,8 +30,10 @@ from quotloc.chars import (
     FactoredForm,
     Monomial,
     PoleAtPoint,
+    k_euler,
+    pair_value,
 )
-from quotloc.limits import LimitValue, block_limit, limit_table
+from quotloc.limits import LimitValue, SpeedOrder, framing_limit, limit_table
 from quotloc.oracle import (
     oracle_contribution,
     oracle_forms,
@@ -47,12 +49,12 @@ from quotloc.series import (
     coh_variables,
     eval_forms,
     half_weight_twist,
+    line_table,
     localized_forms,
     twisted_point,
-    weight_det,
 )
 from quotloc.suites import ranks_up_to
-from quotloc.vertex import contribution, fixed_points, vertex_term
+from quotloc.vertex import contribution, fixed_points, vertex_block, vertex_term
 
 from strategies import VARS, monomials, nonzero_rationals
 
@@ -78,11 +80,11 @@ def fraction_monomial(point, m):
 def fraction_eval(weight, point):
     """A weight's value at a point, multiplying ``(1 - m(p))^c`` in
     ``Fraction``; a vanishing factor with ``c < 0`` raises ``PoleAtPoint``
-    whatever else vanishes."""
+    whatever else vanishes.  The zero class ``None`` is 0."""
     if isinstance(weight, LimitValue):
         scale = weight.sign * fraction_monomial(point, weight.monomial)
         return scale * fraction_eval(weight.factors, point)
-    if weight.is_zero:
+    if weight is None:
         return Fraction(0)
     values = [(1 - fraction_monomial(point, m), c) for m, c in weight.factors()]
     if any(not f and c < 0 for f, c in values):
@@ -133,12 +135,12 @@ def ref_cohomological(ranks, order):
 
 
 def ref_limits(ranks, order):
-    slots = ranks.slots()
+    slots, speed = ranks.slots(), SpeedOrder(ranks)
 
     def weight(bn):
         limits = [
-            block_limit(bn, i, j, alpha, beta)
-            for (i, alpha), (j, beta) in itertools.product(slots, repeat=2)
+            framing_limit(k_euler(-vertex_block(a, b, bn.length(*a), bn.length(*b))), speed)
+            for a, b in itertools.product(slots, repeat=2)
         ]
         total = limits[0]
         for lim in limits[1:]:
@@ -162,7 +164,7 @@ def evaluated(builder, at=same):
 def twisted_sum(ranks, order):
     untwisted = evaluated(localized_forms, twisted_point)(ranks, order)
     twist = half_weight_twist(ranks)
-    return lambda point: untwisted(point).scale_q(point.monomial_value(twist))
+    return lambda point: untwisted(point).scale_q(pair_value(*point.monomial_pair(twist)))
 
 
 def plane_vars(ranks):
@@ -265,7 +267,6 @@ MULTIPLICITIES = st.sampled_from((-3, -2, -1, 1, 2, 3))
 FORMS = st.builds(
     FactoredForm,
     st.lists(st.tuples(monomials(-3, 3, allow_trivial=False), MULTIPLICITIES), max_size=6),
-    is_zero=st.sampled_from((False,) * 9 + (True,)),  # the zero class, now and then
 )
 
 
@@ -328,7 +329,7 @@ def test_oracle_block_products_equal_oracle_contribution():
             for tup in partition_tuples(ranks, n):
                 want = oracle_contribution(tup)
                 got = table.fixed_point_weight(tup.diagrams)
-                assert (got is None) if want.is_zero else got == want
+                assert got == want  # both None for the zero class
                 tvir = plane_tvir(tup)
                 assert folded[tup.diagrams] == (
                     tvir.rank(), tvir.trivial_coefficient(), taut_char(tup).rank()
@@ -336,15 +337,15 @@ def test_oracle_block_products_equal_oracle_contribution():
 
 
 def test_folded_det_equals_vertex_term_det():
-    """The det folded over the blocks of a localized table is
+    """The det folded over the blocks of a line table is
     ``vertex_term(bn).det()``, for total rank <= 4 and size <= 4; the fold
     yields every fixed point (and, on the oracle table, every diagram
     tuple) exactly once, at its degree."""
     for ranks in ranks_up_to(4):
-        table = localized_forms(ranks, 4)
+        table = line_table(ranks, 4, lambda block: block)
         dets = folded_once(
             table,
-            lambda key: weight_det(table.weight(*key)),
+            lambda key: table.weight(*key).det(),
             lambda x, y: x * y,
             Monomial.one(),
             lambda n: [bn.lengths for bn in fixed_points(ranks, n)],

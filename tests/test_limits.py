@@ -12,7 +12,6 @@ from quotloc.limits import (
     DivergentLimit,
     LimitValue,
     SpeedOrder,
-    block_limit,
     crossing_shift_monomial,
     factored_shift_monomial,
     framing_limit,
@@ -21,7 +20,7 @@ from quotloc.limits import (
 from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rational
 from quotloc.series import eval_forms, localized_forms, z_closed
-from quotloc.vertex import FixedPoint, Ranks, fixed_points, vertex_block
+from quotloc.vertex import Ranks, fixed_points, vertex_block
 
 
 ORDER22 = SpeedOrder(Ranks(2, 2))
@@ -87,10 +86,6 @@ class TestFramingLimit:
         assert lim.sign == -1 and lim.monomial == Monomial({T2: 2})
         assert lim.factors.is_one
 
-    def test_zero_form_rejected(self):
-        with pytest.raises(ValueError):
-            framing_limit(FactoredForm.zero(), ORDER22)
-
 
 class TestBlockLimits:
     """The two symbolic limit identities for every ordered slot pair."""
@@ -98,22 +93,19 @@ class TestBlockLimits:
     @pytest.mark.parametrize("sizes", [(0, 0), (1, 2), (3, 1), (5, 5)])
     def test_all_pairs(self, sizes):
         ranks = Ranks(2, 2)
-        slots = ranks.slots()
+        slots, table = ranks.slots(), limit_table(ranks, sum(sizes))
+        n_low, n_high = sizes
         for lo, hi in itertools.combinations(range(4), 2):
-            (i, a), (j, b) = slots[lo], slots[hi]
-            lengths = [0, 0, 0, 0]
-            lengths[lo], lengths[hi] = sizes
-            bn = FixedPoint(ranks, tuple(lengths))
-            assert block_limit(bn, i, j, a, b).is_one
-            assert block_limit(bn, j, i, b, a) == LimitValue.from_monomial(
-                Monomial.var(("t", j), sizes[0])
+            j = slots[hi][0]
+            assert table.weight(lo, hi, n_low, n_high).is_one
+            assert table.weight(hi, lo, n_high, n_low) == LimitValue.from_monomial(
+                Monomial.var(("t", j), n_low)
             )
 
     def test_diagonal_block_limit_keeps_factors(self):
-        bn = FixedPoint(Ranks(1, 1), (2, 0))
-        lim = block_limit(bn, 1, 1, 1, 1)
+        lim = limit_table(Ranks(1, 1), 2).weight(0, 0, 2, 2)
         assert lim.sign == 1 and lim.monomial.is_one
-        assert lim.factors == k_euler(-vertex_block(bn, 1, 1, 1, 1))
+        assert lim.factors == k_euler(-vertex_block((1, 1), (1, 1), 2, 2))
 
 
 class TestShiftBookkeeping:

@@ -1,13 +1,14 @@
 """Seeded point streams, memoized evaluation and the retry protocol."""
 
 import ast
+import math
 import pathlib
 
 import pytest
 
 import quotloc
 from quotloc import points
-from quotloc.chars import Monomial, PoleAtPoint, T1, T2, w_var
+from quotloc.chars import Monomial, PoleAtPoint, T1, T2, pair_value, w_var
 from quotloc.points import (
     PointAssignment,
     PointExhausted,
@@ -41,20 +42,18 @@ def test_draw_point_assigns_sorted_variables():
     assert p.value(T2) == expected[1]
 
 
-def test_monomial_value_and_memo():
+def test_monomial_pair_and_factor_memo():
     p = PointAssignment({T1: rational(2), T2: rational(3)})
-    m = Monomial({T1: 2, T2: -1})
-    assert p.monomial_value(m) == rational(4, 3)
-    assert p.monomial_value(m) == rational(4, 3)  # memo hit
-    assert p.monomial_value(Monomial.one()) == 1
+    assert pair_value(*p.monomial_pair(Monomial({T1: 2, T2: -1}))) == rational(4, 3)
     assert p.monomial_pair(Monomial.one()) == (1, 1)
     # unreduced pairs keep d > 0 at negative coordinates
     q = PointAssignment({T1: rational(-2, 3), T2: rational(-5), W11: rational(4, 7)})
     for exps in ({T1: 1}, {T1: -1}, {T1: -3, T2: 1}, {T2: -1, W11: 2}, {T1: -2, T2: -1, W11: -1}):
         m = Monomial(exps)
         n, d = q.monomial_pair(m)
-        assert d > 0 and rational(n, d) == q.monomial_value(m)
-        assert rational(*q.factor(m)) == 1 - q.monomial_value(m)
+        want = math.prod((q.value(v) ** e for v, e in m.exponents()), start=rational(1))
+        assert d > 0 and rational(n, d) == want
+        assert rational(*q.factor(m)) == 1 - want
         assert q.factor(m) is q.factor(m)  # memo hit
     assert q.monomial_pair(Monomial({T1: -1, T2: -1})) == (3, 10)
 
@@ -62,9 +61,10 @@ def test_monomial_value_and_memo():
 def test_linear_point_monomial_value():
     p = PointAssignment({S1: rational(3), S2: rational(-5, 2), V11: rational(1, 7)}).linearized()
     m = Monomial({T1: 2, T2: 1, W11: -1})
-    assert p.monomial_value(m) == 1 + 2 * rational(3) - rational(5, 2) - rational(1, 7)
-    assert rational(*p.factor(m)) == 1 - p.monomial_value(m)
-    assert p.monomial_value(Monomial.one()) == 1
+    want = 1 + 2 * rational(3) - rational(5, 2) - rational(1, 7)
+    assert pair_value(*p.monomial_pair(m)) == want
+    assert rational(*p.factor(m)) == 1 - want
+    assert pair_value(*p.monomial_pair(Monomial.one())) == 1
 
 
 def test_zero_assignment_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotloc.chars import FactoredForm, Monomial, T1, T2, u_var
+from quotloc.chars import FactoredForm, Monomial, T1, T2, pair_value, u_var
 from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
@@ -39,7 +39,7 @@ def localized_at(ranks, point, order):
 
 
 def twisted_at(ranks, point, order):
-    twist = point.monomial_value(half_weight_twist(ranks))
+    twist = pair_value(*point.monomial_pair(half_weight_twist(ranks)))
     return eval_forms(localized_forms(ranks, order), twisted_point(point)).scale_q(twist)
 
 

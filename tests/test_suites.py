@@ -91,7 +91,7 @@ def test_limits_convergence_is_strict(monkeypatch):
     """A block constant in the framing variables has both gaps 0: that is
     no convergence and must fail."""
     monkeypatch.setattr(
-        suites, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
+        series, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
     )
     report = SuiteReport("limits")
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
@@ -102,7 +102,7 @@ def test_limits_convergence_needs_the_expected_rate(monkeypatch):
     """A block whose gap shrinks only at the rate of the two slowest slots,
     ``big^-(8 - 1)``, converges too slowly for every other slot pair."""
     slowest = Monomial([(w_var(1, 1), -1), (w_var(1, 2), 1)])
-    monkeypatch.setattr(suites, "vertex_block", lambda *args: Character.from_monomial(slowest))
+    monkeypatch.setattr(series, "vertex_block", lambda *args: Character.from_monomial(slowest))
     report = SuiteReport("limits")
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 5
@@ -128,8 +128,8 @@ def test_oracle_reports_trivial_plane_weight(monkeypatch):
 def test_no_twist_reports_wrong_det(monkeypatch):
     """A block det off by ``t1`` fails every det check, naming the fixed
     point, the det and the expected monomial."""
-    det = suites.weight_det
-    monkeypatch.setattr(suites, "weight_det", lambda form: det(form) * Monomial.var(T1))
+    det = Character.det
+    monkeypatch.setattr(Character, "det", lambda block: det(block) * Monomial.var(T1))
     report = suite_no_twist(det_ranks=(Ranks(1, 1),), det_len=1, ranks_list=())
     assert report.checks == 3 and len(report.failures) == 3
     assert report.failures[0] == "det tangent at (0|0) is t1^4 != 1"

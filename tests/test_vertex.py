@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotloc.chars import Character, FactoredForm, Monomial, T1, T2, t_var, w_var
+from quotloc.limits import limit_table
 from quotloc.series import localized_forms
 from quotloc.suites import random_fixed_point, ranks_up_to
 from quotloc.vertex import (
@@ -31,10 +32,10 @@ t2 = Monomial.var(T2)
 
 
 def block_keys(max_total=4, max_length=5):
-    """Every block key ``(a, b, m_a, m_b)`` of every rank pair up to total rank
+    """Every block ``(a, b, m_a, m_b)`` of every rank pair up to total rank
     ``max_total``, as a line table asks for it: ``a == b`` only with
-    ``m_a == m_b``.  Yields the fixed point holding just those lengths and the
-    block's framing indices ``(i, j, alpha, beta)``."""
+    ``m_a == m_b``.  Yields the :func:`vertex_block` key
+    ``((i, alpha), (j, beta), m_a, m_b)`` of slots ``a`` and ``b``."""
     lengths = range(max_length + 1)
     for ranks in ranks_up_to(max_total):
         slots = ranks.slots()
@@ -42,21 +43,19 @@ def block_keys(max_total=4, max_length=5):
             for m_a, m_b in itertools.product(lengths, repeat=2):
                 if a == b and m_a != m_b:
                     continue
-                states = [0] * len(slots)
-                states[a], states[b] = m_a, m_b
-                (i, alpha), (j, beta) = slots[a], slots[b]
-                yield FixedPoint(ranks, tuple(states)), (i, j, alpha, beta)
+                yield slots[a], slots[b], m_a, m_b
 
 
-def untelescoped_block(bn, i, j, alpha, beta):
+def untelescoped_block(slot_a, slot_b, m_a, m_b):
     """``w(i,a)^-1 w(j,b) ((1 - t_i^-1) Z_jb - (1 - t1^-1)(1 - t2^-1) bar(Z_ia) Z_jb)``
     as character products."""
+    (i, alpha), (j, beta) = slot_a, slot_b
 
     def one_minus_tinv(k):
         return Character.one() - Character.from_monomial(Monomial.var(t_var(k), -1))
 
-    z_ia = box_char(bn.length(i, alpha), i)
-    z_jb = box_char(bn.length(j, beta), j)
+    z_ia = box_char(m_a, i)
+    z_jb = box_char(m_b, j)
     inner = one_minus_tinv(i) * z_jb - one_minus_tinv(1) * one_minus_tinv(2) * z_ia.bar() * z_jb
     return inner * (Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta)))
 
@@ -170,46 +169,41 @@ class TestVertexTerm:
 
 class TestVertexBlocks:
     def test_diagonal_example(self):
-        bn = FixedPoint(Ranks(1, 0), (2,))
-        got = vertex_block(bn, 1, 1, 1, 1)
+        got = vertex_block((1, 1), (1, 1), 2, 2)
         one_minus = Character.one() - Character.from_monomial(t1.inverse())
         tail = Character([(t2.inverse(), 1), (t2**-2, 1)])
         assert got == one_minus * tail
 
     def test_diagonal_empty(self):
-        bn = FixedPoint(Ranks(1, 0), (0,))
-        assert vertex_block(bn, 1, 1, 1, 1).is_zero
+        assert vertex_block((1, 1), (1, 1), 0, 0).is_zero
 
     def test_cross_block_hand_expansion(self):
-        bn = FixedPoint(Ranks(1, 1), (1, 1))
-        got = vertex_block(bn, 1, 2, 1, 1)
+        got = vertex_block((1, 1), (2, 1), 1, 1)
         w = Monomial.var(w_var(1, 1), -1) * Monomial.var(w_var(2, 1))
         expect = Character([(w * t2.inverse(), 1), (w * (t1 * t2).inverse(), -1)])
         assert got == expect
 
     @given(st.integers(1, 8), st.sampled_from((1, 2)))
     def test_diagonal_closed_form(self, m, i):
-        lengths = (m, 0) if i == 1 else (0, m)
-        bn = FixedPoint(Ranks(1, 1), lengths)
         one_minus = Character.one() - Character.from_monomial(
             Monomial.var(("t", i), -1)
         )
         tail = Character((Monomial.var(("t", 3 - i), -a), 1) for a in range(1, m + 1))
-        assert vertex_block(bn, i, i, 1, 1) == one_minus * tail
+        assert vertex_block((i, 1), (i, 1), m, m) == one_minus * tail
 
     def test_telescoped_equals_untelescoped(self):
         count = 0
-        for bn, index in block_keys():
-            assert vertex_block(bn, *index) == untelescoped_block(bn, *index), (bn, index)
+        for key in block_keys():
+            assert vertex_block(*key) == untelescoped_block(*key), key
             count += 1
         assert count == 3480
 
     def test_determinant(self):
-        """``det`` of block ``(i j, alpha beta)`` is ``t_i^m_b``; over a fixed
-        point these multiply to no-twist's ``t1^(n r1) t2^(n r2)``."""
-        for bn, (i, j, alpha, beta) in block_keys():
-            expect = Monomial.var(t_var(i), bn.length(j, beta))
-            assert vertex_block(bn, i, j, alpha, beta).det() == expect, (bn, i, j, alpha, beta)
+        """``det`` of block ``((i, alpha), (j, beta), m_a, m_b)`` is ``t_i^m_b``;
+        over a fixed point these multiply to no-twist's ``t1^(n r1) t2^(n r2)``."""
+        for key in block_keys():
+            (i, _), _, _, m_b = key
+            assert vertex_block(*key).det() == Monomial.var(t_var(i), m_b), key
 
     def test_build_multiplies_no_characters(self, monkeypatch):
         def refuse(self, other):
@@ -222,6 +216,19 @@ class TestVertexBlocks:
             pass
         # every key (a, b, m_a, m_b) with m_a + m_b <= 6, a == b only with m_a == m_b
         assert len(table.weights) == 4 * 3 * math.comb(8, 2) + 4 * 7
+
+    def test_tables_build_no_fixed_point(self, monkeypatch):
+        """A line block is keyed by its slots and lengths alone: building every
+        block of a localized table and of a limit table makes no ``FixedPoint``."""
+
+        def refuse(self):
+            raise AssertionError("a FixedPoint was built for a block")
+
+        monkeypatch.setattr(FixedPoint, "__post_init__", refuse)
+        for table in (localized_forms(Ranks(2, 2), 4), limit_table(Ranks(2, 2), 4)):
+            folded = table.fold(lambda key: table.weight(*key), lambda acc, w: acc, None)
+            assert sum(1 for _ in folded) == math.comb(4 + 4, 4)
+            assert len(table.weights) == 4 * 3 * math.comb(6, 2) + 4 * 5
 
 
 class TestDetChar:
@@ -268,11 +275,12 @@ class TestContribution:
         assert contribution(FixedPoint(Ranks(1, 1), (0, 0))).is_one
 
     def test_never_zero_flag(self):
+        """By movability a fixed point's weight is never the zero class ``None``."""
         rng = random.Random(7)
         for _ in range(50):
             bn = random_fixed_point(rng)
             form = contribution(bn)
-            assert not form.is_zero
+            assert isinstance(form, FactoredForm)
 
 
 class TestFramingChar:
