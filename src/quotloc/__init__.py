@@ -51,6 +51,7 @@ from .points import (
 from .rational import rat_str, rational
 from .series import (
     BlockTable,
+    DiagonalPoint,
     QSeries,
     binom_series,
     cy_first_order,

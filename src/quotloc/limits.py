@@ -77,13 +77,6 @@ class LimitValue:
     def is_one(self) -> bool:
         return self.sign == 1 and self.monomial.is_one and self.factors.is_one
 
-    def __mul__(self, other: "LimitValue") -> "LimitValue":
-        return LimitValue(
-            self.sign * other.sign,
-            self.monomial * other.monomial,
-            self.factors * other.factors,
-        )
-
     def eval_pair(self, point):
         """The value at ``point`` as an unreduced integer pair, as
         :meth:`FactoredForm.eval_pair`."""

@@ -10,7 +10,6 @@ it holds coefficient by coefficient as exact rational identities.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterable
 
@@ -20,6 +19,7 @@ from .chars import (
     FactoredForm,
     Monomial,
     k_euler,
+    pair_value,
     t_var,
     u_var,
 )
@@ -158,12 +158,6 @@ class BlockTable:
             self.weights[key] = self.block(*key)
         return self.weights[key]
 
-    def fixed_point_weight(self, states: tuple):
-        """The merged weight of one fixed point, or ``None`` for the zero class."""
-        pairs = itertools.product(enumerate(states), repeat=2)
-        blocks = [self.weight(a, b, s_a, s_b) for (a, s_a), (b, s_b) in pairs]
-        return None if any(w is None for w in blocks) else math.prod(blocks[1:], start=blocks[0])
-
     def fold(self, value, combine, start):
         """Yield ``(states, size, acc)`` for every fixed point up to the order with no
         block of value ``None``; ``acc`` combines ``start`` with its block values.  Fixed
@@ -197,7 +191,14 @@ class BlockTable:
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
     """The fixed-line sum as a block table: a slot's state is its length and
     block ``(a, b, m_a, m_b)`` has weight ``weight(vertex_block(slots[a],
-    slots[b], m_a, m_b))``, with ``slots = ranks.slots()``."""
+    slots[b], m_a, m_b))``, with ``slots = ranks.slots()``.
+
+    Block values multiply to the merged weight's value, zeros and poles
+    included: no monomial is a numerator factor of one block of a fixed point
+    and a denominator factor of another.  A cross block's factors carry its
+    ``w(i,a)^-1 w(j,b)``; a diagonal block's are ``(1 - t_ihat^k)^-1`` and
+    ``(1 - t_i t_ihat^k)^+1``, ``k >= 1``, which never coincide; a framing
+    limit keeps some of these."""
     slots = ranks.slots()
 
     def block(a, b, m_a, m_b):
@@ -218,13 +219,10 @@ def _pair_product(x, y):
 
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     """Evaluate a block table at one point and sum each degree: a
-    :meth:`BlockTable.fold` of block values by products.  Block values are
-    unreduced integer pairs (:meth:`FactoredForm.eval_pair`), multiplied as
-    plain integers and normalised once per fixed point.  A fixed point whose
-    pair has ``n == 0`` or ``d == 0`` is evaluated whole, since one factor
-    can sit in two blocks with opposite signs: so its zeros and poles
-    (:class:`~quotloc.chars.PoleAtPoint`, raised by
-    :func:`~quotloc.chars.pair_value`) are exactly those of the merged weight.
+    :meth:`BlockTable.fold` of block values, unreduced integer pairs
+    (:meth:`FactoredForm.eval_pair`) multiplied as plain integers and
+    normalised once per fixed point by :func:`~quotloc.chars.pair_value`,
+    so its zeros and poles are the merged weight's (see :func:`line_table`).
     """
     totals = [RAT_ZERO] * (table.order + 1)
 
@@ -232,8 +230,8 @@ def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
         w = table.weight(*key)
         return w if w is None else w.eval_pair(point)
 
-    for states, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
-        totals[size] += rational(n, d) if n and d else table.fixed_point_weight(states).eval_point(point)
+    for _, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
+        totals[size] += pair_value(n, d)
     return QSeries(totals)
 
 
@@ -361,39 +359,42 @@ def diagonal_power(m: Monomial) -> int:
 
 
 def cy_order(form: FactoredForm) -> int:
-    """Vanishing order ``ord_D`` of a fixed-point weight along ``t1 t2 = 1``.
+    """Vanishing order ``ord_D`` of a weight along ``t1 t2 = 1``.
 
     Every factor ``1 - m`` with ``m`` not a power of ``t1 t2`` restricts to a
-    nonzero function on ``D``, so only the diagonal factors count.  Weights
-    of fixed points are never the zero class (movability).
+    nonzero function on ``D``, so only the diagonal factors count, and the
+    order of a fixed point is the sum of its blocks' orders.  Weights of
+    fixed points are never the zero class (movability).
     """
     return sum(c for m, c in form.factors() if diagonal_power(m))
 
 
-def cy_first_order(forms: list, rest_point: PointAssignment):
-    """The first-order term of a coefficient along ``D``: the sum over the
-    weights ``W`` with ``ord_D(W) = 1`` of ``W / (1 - t1 t2)`` restricted to
-    ``D``, at the rest point ``(t2, w)`` with ``t1 := 1/t2``.
+class DiagonalPoint(PointAssignment):
+    """A rest point ``(t2, w)`` put on ``D`` by ``t1 := 1/t2``, where the factor
+    ``1 - (t1 t2)^k`` takes the value ``k``, its quotient by ``1 - t1 t2`` on
+    ``D``: a weight of ``ord_D = 1`` evaluates to ``W / (1 - t1 t2)`` there."""
 
-    Raises :class:`~quotloc.chars.PoleAtPoint` when a non-diagonal
-    denominator factor vanishes there, since the remaining factors are then
-    evaluated to a pair with ``d == 0``.
-    """
-    point = rest_point.with_values({T1: 1 / rest_point.value(T2)})
-    total = RAT_ZERO
-    for form in forms:
-        if cy_order(form) != 1:
-            continue
-        scale = RAT_ONE
-        rest = []
-        for m, c in form.factors():
-            k = diagonal_power(m)
-            if k:
-                scale = scale * rational(k) ** c
-            else:
-                rest.append((m, c))
-        total = total + scale * FactoredForm(rest).eval_point(point)
-    return total
+    __slots__ = ()
+
+    def __init__(self, rest_point: PointAssignment):
+        super().__init__({**rest_point._values, T1: 1 / rest_point.value(T2)})
+
+    def factor(self, monomial):
+        k = diagonal_power(monomial)
+        return (k, 1) if k else super().factor(monomial)
+
+
+def cy_first_order(table: BlockTable, orders: dict, rest_point: PointAssignment) -> list:
+    """Entry ``n`` is the first-order term of coefficient ``n`` along ``D``: the
+    block products at ``DiagonalPoint(rest_point)`` of its fixed points with
+    ``orders[states] == 1``.  Raises :class:`~quotloc.chars.PoleAtPoint` when a
+    non-diagonal denominator factor of such a fixed point vanishes there."""
+    point, totals = DiagonalPoint(rest_point), [RAT_ZERO] * (table.order + 1)
+    value = lambda key: table.weight(*key).eval_pair(point)
+    for states, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
+        if orders[states] == 1:
+            totals[size] += pair_value(n, d)
+    return totals
 
 
 def cy_first_order_closed(ranks: Ranks, n: int, rest_point: PointAssignment):

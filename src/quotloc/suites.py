@@ -344,32 +344,32 @@ def suite_no_twist(
 def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1):
     """Every positive-degree coefficient vanishes on the ``t1 t2 = 1`` locus.
 
-    Proved by vanishing orders: each weight of degree ``n >= 1``, merged
-    from the blocks of the localized table, must have ``ord_D >= 1`` along
-    ``D = {t1 t2 = 1}``, which makes the coefficient vanish on ``D`` for all
-    ``t2`` and framing values.  At each of ``num_seeds`` seeded rest points
-    ``(t2, w)`` the first-order term must equal the closed form's; a weight
-    with ``ord_D <= 0`` fails every check of its degree.
+    Proved by vanishing orders: each weight of degree ``n >= 1``, its
+    ``ord_D`` along ``D = {t1 t2 = 1}`` summed over its blocks, must be ``>= 1``,
+    which makes the coefficient vanish on ``D`` for all ``t2`` and framing
+    values.  At each of ``num_seeds`` seeded rest points ``(t2, w)``, one per
+    seed for all degrees, the first-order term must equal the closed form's;
+    a weight with ``ord_D <= 0`` fails every check of its degree.
     """
     report = SuiteReport("cy-vanishing")
     for ranks in ranks_list:
         table = localized_forms(ranks, max_len)
+        block_order = lambda key: cy_order(table.weight(*key))
+        orders = {states: o for states, _, o in table.fold(block_order, operator.add, 0)}
         rest_vars = (T2,) + ranks.w_vars()
+        first_orders = [
+            retry_points(rest_vars, rational_stream(seed + k), lambda p: cy_first_order(table, orders, p))
+            for k in range(num_seeds)
+        ]
         for n in range(1, max_len + 1):
             label = f"cy-vanishing r={ranks.r1},{ranks.r2} n={n}"
-            bns = fixed_points(ranks, n)
-            forms = [table.fixed_point_weight(bn.lengths) for bn in bns]
-            orders = [cy_order(form) for form in forms]
-            low = min(orders)
-            bn = bns[orders.index(low)]
-            for k in range(num_seeds):
+            bn = min(fixed_points(ranks, n), key=lambda bn: orders[bn.lengths])
+            low = orders[bn.lengths]
+            for point, values in first_orders:
                 if low <= 0:
                     report.check(False, lambda: f"{label}: weight at {bn} has order {low} along t1 t2 = 1")
                     continue
-                point, value = retry_points(
-                    rest_vars, rational_stream(seed + k), lambda p: cy_first_order(forms, p)
-                )
-                closed = cy_first_order_closed(ranks, n, point)
+                value, closed = values[n], cy_first_order_closed(ranks, n, point)
                 report.check(
                     value == closed,
                     lambda: f"{label}: first-order term at {point} is "

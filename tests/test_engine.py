@@ -13,8 +13,8 @@ coordinates (``fraction_eval``), not through the integer pairs of
 ``eval_pair``, and a property test holds ``eval_point`` to that evaluator.
 """
 
-import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -30,7 +30,6 @@ from quotloc.chars import (
     FactoredForm,
     Monomial,
     PoleAtPoint,
-    k_euler,
     pair_value,
 )
 from quotloc.limits import LimitValue, SpeedOrder, framing_limit, limit_table
@@ -54,7 +53,7 @@ from quotloc.series import (
     twisted_point,
 )
 from quotloc.suites import ranks_up_to
-from quotloc.vertex import contribution, fixed_points, vertex_block, vertex_term
+from quotloc.vertex import contribution, fixed_points, vertex_term
 
 from strategies import VARS, monomials, nonzero_rationals
 
@@ -135,18 +134,9 @@ def ref_cohomological(ranks, order):
 
 
 def ref_limits(ranks, order):
-    slots, speed = ranks.slots(), SpeedOrder(ranks)
-
-    def weight(bn):
-        limits = [
-            framing_limit(k_euler(-vertex_block(a, b, bn.length(*a), bn.length(*b))), speed)
-            for a, b in itertools.product(slots, repeat=2)
-        ]
-        total = limits[0]
-        for lim in limits[1:]:
-            total = total * lim
-        return total
-
+    """The framing limit of each fixed point's whole weight."""
+    speed = SpeedOrder(ranks)
+    weight = lambda bn: framing_limit(contribution(bn), speed)
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
 
 
@@ -317,23 +307,48 @@ def folded_once(table, value, combine, start, items):
 
 
 def test_oracle_block_products_equal_oracle_contribution():
-    """Symbolically, the product of a diagram tuple's pair factors is its
-    whole weight, and ``None`` exactly for the zero class; the ranks and the
-    trivial coefficient folded over the blocks are those of ``plane_tvir``
-    and ``taut_char``."""
+    """Symbolically, the product of a diagram tuple's pair factors, folded
+    over its blocks, is its whole weight, and the fold prunes exactly the
+    tuples of the zero class; the ranks and the trivial coefficient folded
+    over the blocks are those of ``plane_tvir`` and ``taut_char``."""
     for ranks in ranks_up_to(3):
         table = oracle_forms(ranks, 4)
+        weight = lambda key: table.weight(*key)
+        products = {diagrams: w for diagrams, _, w in table.fold(weight, operator.mul, FactoredForm.one())}
         folded = {diagrams: acc for diagrams, _, acc in plane_invariants(table)}
         assert len(folded) == sum(len(partition_tuples(ranks, n)) for n in range(5))
         for n in range(5):
             for tup in partition_tuples(ranks, n):
                 want = oracle_contribution(tup)
-                got = table.fixed_point_weight(tup.diagrams)
-                assert got == want  # both None for the zero class
+                assert (tup.diagrams not in products) == (want is None), tup
+                assert products.get(tup.diagrams) == want
                 tvir = plane_tvir(tup)
                 assert folded[tup.diagrams] == (
                     tvir.rank(), tvir.trivial_coefficient(), taut_char(tup).rank()
                 )
+
+
+def factor_signs(weight):
+    """The set of ``(m, c > 0)`` over the factors ``(1 - m)^c`` of a block
+    weight; ``None`` for the zero class."""
+    if weight is None:
+        return None
+    form = weight.factors if isinstance(weight, LimitValue) else weight
+    return frozenset((m, c > 0) for m, c in form.factors())
+
+
+def test_no_factor_sits_in_two_blocks_with_opposite_signs():
+    """No monomial is a numerator factor of one block and a denominator
+    factor of another block of the same fixed point, so the product of the
+    block values vanishes or has a pole exactly where the merged weight does:
+    line and limit tables of total rank <= 4 and oracle tables of total
+    rank <= 3, up to order 4."""
+    tables = [build(ranks, 4) for build in (localized_forms, limit_table) for ranks in ranks_up_to(4)]
+    tables += [oracle_forms(ranks, 4) for ranks in ranks_up_to(3)]
+    for table in tables:
+        signs = lambda key: factor_signs(table.weight(*key))
+        for states, _, acc in table.fold(signs, operator.or_, frozenset()):
+            assert not acc & {(m, not up) for m, up in acc}, states
 
 
 def test_folded_det_equals_vertex_term_det():

@@ -58,7 +58,7 @@ def test_monomial_pair_and_factor_memo():
     assert q.monomial_pair(Monomial({T1: -1, T2: -1})) == (3, 10)
 
 
-def test_linear_point_monomial_value():
+def test_linear_point_monomial_pair():
     p = PointAssignment({S1: rational(3), S2: rational(-5, 2), V11: rational(1, 7)}).linearized()
     m = Monomial({T1: 2, T2: 1, W11: -1})
     want = 1 + 2 * rational(3) - rational(5, 2) - rational(1, 7)

@@ -2,21 +2,25 @@
 functions with their closed forms."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotloc.chars import FactoredForm, Monomial, T1, T2, pair_value, u_var
+from quotloc.limits import limit_table
 from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
+    DiagonalPoint,
     QSeries,
     binom_series,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
     cy_order,
+    diagonal_power,
     euler_char_series,
     eval_forms,
     half_weight_twist,
@@ -28,7 +32,7 @@ from quotloc.series import (
     zcoh_closed,
     zhat_closed,
 )
-from quotloc.suites import ranks_up_to
+from quotloc.suites import ranks_up_to, suite_cy_vanishing
 from quotloc.vertex import Ranks, contribution, fixed_points
 
 from strategies import nonzero_rationals
@@ -235,9 +239,31 @@ def weights(ranks, n):
     return [contribution(bn) for bn in fixed_points(ranks, n)]
 
 
+def cy_orders(ranks, order):
+    """``ord_D`` of every fixed point up to ``order``, from its merged weight."""
+    return {
+        bn.lengths: cy_order(contribution(bn)) for n in range(order + 1) for bn in fixed_points(ranks, n)
+    }
+
+
 def first_order_sides(ranks, n, seed):
     rest = seeded_point((T2,) + ranks.w_vars(), seed)
-    return cy_first_order(weights(ranks, n), rest), cy_first_order_closed(ranks, n, rest)
+    localized = cy_first_order(localized_forms(ranks, n), cy_orders(ranks, n), rest)
+    return localized[n], cy_first_order_closed(ranks, n, rest)
+
+
+def split_first_order(form, rest):
+    """The reference first-order value of a merged weight: each diagonal
+    factor ``(1 - (t1 t2)^k)^c`` gives ``k^c``, and the form of the other
+    factors is evaluated at ``t1 = 1/t2``."""
+    scale, others = rational(1), []
+    for m, c in form.factors():
+        k = diagonal_power(m)
+        if k:
+            scale *= rational(k) ** c
+        else:
+            others.append((m, c))
+    return scale * FactoredForm(others).eval_point(rest.with_values({T1: 1 / rest.value(T2)}))
 
 
 class TestCyVanishing:
@@ -272,13 +298,48 @@ class TestCyVanishing:
         x = Monomial([(T1, 1), (T2, 1)])
         form = FactoredForm([(x**-2, 2), (x, -1)])
         assert cy_order(form) == 1
-        assert cy_first_order([form], seeded_point((T2,), 3)) == 4
+        assert form.eval_point(DiagonalPoint(seeded_point((T2,), 3))) == 4
+
+    def test_diagonal_point_equals_split_reference(self):
+        """Every merged weight of total rank <= 3 and degree <= 4 takes at a
+        :class:`DiagonalPoint` its split reference value, and each entry of
+        ``cy_first_order`` is the sum of the references of its order-1 weights."""
+        for ranks in ranks_up_to(3):
+            rest = seeded_point((T2,) + ranks.w_vars(), 3 + 10 * ranks.r1 + ranks.r2)
+            point, forms = DiagonalPoint(rest), {}
+            for n in range(5):
+                forms.update((bn.lengths, contribution(bn)) for bn in fixed_points(ranks, n))
+            orders = {states: cy_order(form) for states, form in forms.items()}
+            got, want = cy_first_order(localized_forms(ranks, 4), orders, rest), [0] * 5
+            for states, form in forms.items():
+                reference = split_first_order(form, rest)
+                assert form.eval_point(point) == reference, (ranks, states)
+                want[sum(states)] += reference if orders[states] == 1 else 0
+            assert got == want, ranks
 
 
 class TestEvalFormsPlumbing:
     def test_localized_forms_shape(self):
         table = localized_forms(Ranks(2, 1), 3)
         assert (table.slots, table.order) == (3, 3)
+        weight = lambda key: table.weight(*key)
+        products = {bn: w for bn, _, w in table.fold(weight, operator.mul, FactoredForm.one())}
         for n in range(4):
             for bn in fixed_points(Ranks(2, 1), n):
-                assert table.fixed_point_weight(bn.lengths) == contribution(bn)
+                assert products[bn.lengths] == contribution(bn)
+
+    def test_no_weight_is_merged(self, monkeypatch):
+        """Evaluation and the cy-vanishing suite multiply block values, never
+        factored forms.  On ``t1 t2 = 1`` every weight of positive degree is
+        0, and the line and limit tables still sum to 1 there."""
+
+        def merge(self, other):
+            raise AssertionError("a fixed point's weight was merged")
+
+        monkeypatch.setattr(FactoredForm, "__mul__", merge)
+        for ranks in (Ranks(1, 1), Ranks(2, 1)):
+            point = full_point(ranks).with_values({T1: rational(2, 3), T2: rational(3, 2)})
+            for table in (localized_forms(ranks, 3), limit_table(ranks, 3)):
+                assert eval_forms(table, point) == QSeries.one(3)
+        report = suite_cy_vanishing(max_len=3)
+        assert report.passed and report.checks == 81
