@@ -4,6 +4,7 @@ import inspect
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from quotloc.oracle import partition_tuples
 from quotloc.suites import CLI_SUITES, ranks_up_to
 from quotloc.vertex import Ranks
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -48,6 +51,14 @@ class TestCompute:
         expected = rat_str((1 - t1 * t2) / (1 - t2))
         assert f"q^1: {expected}" in out
         assert out.count(f"q^1: {expected}") == 2  # localized and closed form
+
+    @pytest.mark.parametrize("seed", [1, 7, 157])
+    def test_golden_report(self, seed, capsys):
+        """Every coefficient of a (2,1) report at order 5, byte for byte."""
+        argv = ["compute", "--r1", "2", "--r2", "1", "--order", "5", "--num-points", "3"]
+        code, out, _ = run_cli(argv + ["--seed", str(seed)], capsys)
+        assert code == EXIT_PASS
+        assert out == (GOLDEN / f"compute_seed{seed}.txt").read_text()
 
     def test_order_zero(self, capsys):
         code, out, _ = run_cli(["compute", "--r1", "0", "--r2", "1", "--order", "0"], capsys)
