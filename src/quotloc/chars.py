@@ -204,9 +204,6 @@ class Character:
     def monomials(self):
         return self._terms.keys()
 
-    def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -208,10 +208,10 @@ def _validate(parser, args) -> None:
     if suite is not None and suite not in CLI_SUITES:
         parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
     fn = compute_points if suite is None else CLI_SUITES[suite]
-    if (args.r1 is not None or args.r2 is not None) and (args.r1 or 0) + (args.r2 or 0) < 1:
-        parser.error("total rank r1 + r2 must be at least 1")
-    if (args.r1 or 0) < 0 or (args.r2 or 0) < 0:
-        parser.error("ranks must be nonnegative")
+    try:
+        ranks = _ranks(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.order is not None and args.order < 0:
         parser.error("order must be nonnegative")
     if args.num_points is not None and args.num_points < 1:
@@ -220,13 +220,13 @@ def _validate(parser, args) -> None:
         parser.error(f"the {suite} suite takes no --num-points")
     if suite == "smooth-chi-y" and args.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
-    if suite == "limits" and _ranks(args) is not None and _ranks(args).total < 2:
+    if suite == "limits" and ranks is not None and ranks.total < 2:
         parser.error("the limits suite needs two framing slots, r1 + r2 >= 2")
     bound = inspect.signature(fn).bind(**run_kwargs(args, fn))
     bound.apply_defaults()  # size budget: the largest order n and total rank r the run asks for
     given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]
-    ranks = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
-    n, r = max(given("order"), default=0), max((p.total for p in ranks), default=0)
+    pairs = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
+    n, r = max(given("order"), default=0), max((p.total for p in pairs), default=0)
     if suite == "limits":  # its q-shift bookkeeping runs every rank pair up to total rank 4
         r = max(r, 4)
     if fixed_point_count(suite, n, r) > MAX_FIXED_POINTS:

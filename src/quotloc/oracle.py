@@ -11,6 +11,9 @@ of rank ``r n``, and the intersecting-lines invariants are recovered as
 rank-``rn`` tautological insertion.  Agreement with the fixed-line
 localization is the strongest end-to-end check in the package, since the
 fixed-point combinatorics on the two sides are completely different.
+
+:func:`oracle_forms` is a block table over Young diagrams, built like a line
+table; its blocks share the per-process cache of :func:`pair_tangent`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .chars import T1, T2, Character, FactoredForm, Monomial, k_euler, t_var, w_var
 from .series import BlockTable
-from .vertex import MovabilityViolation, Ranks
+from .vertex import MovabilityViolation, Ranks, slot_states
 
 
 @dataclass(frozen=True)
@@ -62,24 +65,12 @@ def partitions(n: int) -> tuple:
 
 
 def partition_tuples(ranks: Ranks, n: int) -> list:
-    """All tuples of partitions with total size ``n``; the count is the
-    ``q^n`` coefficient of ``prod_k (1 - q^k)^(-r)``."""
+    """All tuples of partitions with total size ``n``, in the order of
+    :func:`~quotloc.vertex.slot_states`; the count is the ``q^n`` coefficient
+    of ``prod_k (1 - q^k)^(-r)``."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-    r = ranks.total
-    out = []
-
-    def descend(slot: int, remaining: int, prefix: tuple):
-        if slot == r - 1:
-            for diagram in partitions(remaining):
-                out.append(PartitionTuple(ranks, prefix + (diagram,)))
-            return
-        for here in range(remaining, -1, -1):
-            for diagram in partitions(here):
-                descend(slot + 1, remaining - here, prefix + (diagram,))
-
-    descend(0, n, ())
-    return out
+    return [PartitionTuple(ranks, d) for d in slot_states(ranks.total, n, partitions)]
 
 
 def diagram_char(parts: tuple) -> Character:
@@ -137,45 +128,40 @@ def oracle_contribution(tup: PartitionTuple) -> FactoredForm | None:
     return None if insertion is None else insertion * k_euler(-plane_tvir(tup))
 
 
+@functools.cache
 def pair_tangent(lam_a: tuple, lam_b: tuple) -> Character:
     """``P = Z_b + E Z_b bar(Z_a)``: block ``(a, b)`` of the plane tangent is ``w_a^-1 w_b P``."""
     z_b = diagram_char(lam_b)
     return z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())
 
 
-class PlaneBlocks:
-    """The block function of the oracle table of one rank pair; ``P`` is
-    built once per diagram pair."""
-
-    def __init__(self, ranks: Ranks):
-        self.frame = ranks.slots()
-        self.tangent = functools.cache(pair_tangent)
-
-    def __call__(self, a, b, lam_a, lam_b):
-        """The pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``, ``i`` the line
-        of slot ``a``; ``None`` when the insertion is the zero class."""
-        (i, alpha), (j, beta) = self.frame[a], self.frame[b]
-        w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
-        insertion = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
-        return None if insertion is None else insertion * k_euler(-(self.tangent(lam_a, lam_b) * w))
-
-    def invariants(self, key) -> tuple:
-        """Rank and trivial coefficient of the tangent block ``w P`` and rank of the
-        insertion block (one term per box of ``lam_b``).  Only a diagonal block can hold
-        the trivial weight: ``P`` is pure ``t``, and off the diagonal ``w != 1``."""
-        a, b, lam_a, lam_b = key
-        p = self.tangent(lam_a, lam_b)
-        return p.rank(), p.trivial_coefficient() if a == b else 0, sum(lam_b)
-
-
 def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
     """The oracle weights as a block table over Young diagrams; its sum must
     agree coefficientwise with the intersecting-lines localization."""
-    return BlockTable(ranks.total, order, partitions, PlaneBlocks(ranks))
+    slots = ranks.slots()
+
+    def block(a, b, lam_a, lam_b):
+        """The pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``, ``i`` the line
+        of slot ``a``; ``None`` when the insertion is the zero class."""
+        (i, alpha), (j, beta) = slots[a], slots[b]
+        w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
+        insertion = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
+        return None if insertion is None else insertion * k_euler(-(pair_tangent(lam_a, lam_b) * w))
+
+    return BlockTable(len(slots), order, partitions, block)
+
+
+def block_invariants(key) -> tuple:
+    """Rank and trivial coefficient of the tangent block ``w P`` and rank of the
+    insertion block (one term per box of ``lam_b``) of block ``key``.  Only a diagonal
+    block can hold the trivial weight: ``P`` is pure ``t``, and off the diagonal ``w != 1``."""
+    a, b, lam_a, lam_b = key
+    p = pair_tangent(lam_a, lam_b)
+    return p.rank(), p.trivial_coefficient() if a == b else 0, sum(lam_b)
 
 
 def plane_invariants(table: BlockTable):
     """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every
     diagram tuple of an :func:`oracle_forms` table, folded over its blocks (all add)."""
     add = lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-    return table.fold(table.block.invariants, add, (0, 0, 0))
+    return table.fold(block_invariants, add, (0, 0, 0))

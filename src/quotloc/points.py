@@ -45,9 +45,6 @@ class PointAssignment:
         except KeyError:
             raise KeyError(f"no value assigned to {var_name(var)}") from None
 
-    def variables(self):
-        return sorted(self._values)
-
     def items(self):
         return sorted(self._values.items())
 

@@ -25,7 +25,7 @@ from .chars import (
 )
 from .points import PointAssignment
 from .rational import ONE as RAT_ONE, ZERO as RAT_ZERO, rational
-from .vertex import Ranks, vertex_block
+from .vertex import Ranks, line_states, vertex_block
 
 
 class QSeries:
@@ -204,7 +204,7 @@ def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
     def block(a, b, m_a, m_b):
         return weight(vertex_block(slots[a], slots[b], m_a, m_b))
 
-    return BlockTable(len(slots), order, lambda n: (n,), block)
+    return BlockTable(len(slots), order, line_states, block)
 
 
 def localized_forms(ranks: Ranks, order: int) -> BlockTable:

@@ -2,7 +2,8 @@
 virtual tangent characters.
 
 Fixed points of rank ``(r1, r2)`` and length ``n`` are compositions of ``n``
-into ``r1 + r2`` labeled nonnegative parts, one per framing summand.  The
+into ``r1 + r2`` labeled nonnegative parts, one per framing summand, listed by
+:func:`slot_states` with the line states :func:`line_states`.  The
 quotient supported on line ``i`` with length ``m`` has character
 ``w * (1 + t_ihat + ... + t_ihat^(m-1))`` where ``ihat`` is the other axis.
 The virtual tangent character at a fixed point is
@@ -89,19 +90,23 @@ class FixedPoint:
         return f"({left}|{right})"
 
 
-def compositions(n: int, parts: int) -> Iterator[tuple]:
-    """All compositions of ``n`` into ``parts`` labeled nonnegative parts,
-    largest leading part first."""
-    if parts == 0:
+def line_states(m: int) -> tuple:
+    """The one state of size ``m`` on a line slot: the length ``m`` itself."""
+    return (m,)
+
+
+def slot_states(slots: int, n: int, states) -> Iterator[tuple]:
+    """Every tuple of one state per slot whose sizes sum to ``n``, ``states(m)``
+    listing the states of size ``m`` as for :class:`~quotloc.series.BlockTable`:
+    the first slot's size descending, then recursively."""
+    if slots == 0:
         if n == 0:
             yield ()
         return
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for m in range(n, -1, -1) if slots > 1 else (n,):
+        for s in states(m):
+            for rest in slot_states(slots - 1, n - m, states):
+                yield (s,) + rest
 
 
 def fixed_points(ranks: Ranks, n: int) -> list:
@@ -109,7 +114,7 @@ def fixed_points(ranks: Ranks, n: int) -> list:
     slots, count ``C(n + r - 1, r - 1)``."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return [FixedPoint(ranks, c) for c in compositions(n, ranks.total)]
+    return [FixedPoint(ranks, c) for c in slot_states(ranks.total, n, line_states)]
 
 
 def box_char(m: int, i: int) -> Character:

@@ -69,6 +69,10 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--r1", "0", "--r2", "0"])
         assert exc.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--r2", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "ranks must be nonnegative" in capsys.readouterr().err
 
     def test_deterministic_reports(self, tmp_path):
         args = ["compute", "--r1", "1", "--r2", "1", "--order", "3", "--seed", "11"]

@@ -8,8 +8,10 @@ from quotloc.oracle import (
     diagram_char,
     oracle_contribution,
     oracle_forms,
+    pair_tangent,
     partition_tuples,
     partitions,
+    plane_invariants,
     plane_q_char,
     plane_tvir,
     taut_char,
@@ -79,6 +81,34 @@ class TestPartitionTuples:
             expected = tuple_count(r1 + r2, 5)
             for n in range(6):
                 assert len(partition_tuples(Ranks(r1, r2), n)) == expected[n]
+
+    def test_order(self):
+        """The first slot's size descending, then recursively: not size-major,
+        which would list ``((2,), (1,), ())`` before ``((1, 1), (), (1,))``."""
+        assert [t.diagrams for t in partition_tuples(Ranks(2, 1), 3)] == [
+            ((3,), (), ()),
+            ((2, 1), (), ()),
+            ((1, 1, 1), (), ()),
+            ((2,), (1,), ()),
+            ((2,), (), (1,)),
+            ((1, 1), (1,), ()),
+            ((1, 1), (), (1,)),
+            ((1,), (2,), ()),
+            ((1,), (1, 1), ()),
+            ((1,), (1,), (1,)),
+            ((1,), (), (2,)),
+            ((1,), (), (1, 1)),
+            ((), (3,), ()),
+            ((), (2, 1), ()),
+            ((), (1, 1, 1), ()),
+            ((), (2,), (1,)),
+            ((), (1, 1), (1,)),
+            ((), (1,), (2,)),
+            ((), (1,), (1, 1)),
+            ((), (), (3,)),
+            ((), (), (2, 1)),
+            ((), (), (1, 1, 1)),
+        ]
 
     def test_total_size(self):
         for tup in partition_tuples(Ranks(2, 1), 4):
@@ -177,6 +207,17 @@ class TestOracleEquality:
         for a, b, lam_a, lam_b in table.weights:
             assert type(a) is int and type(b) is int
             assert all(type(lam) is tuple and all(type(p) is int for p in lam) for lam in (lam_a, lam_b))
+
+    def test_pair_tangent_is_built_once_per_process(self):
+        """A second table of the same order builds no diagram pair's ``P`` again: an
+        order-4 table has 46 pairs, 38 with sizes summing to at most 4 and 8 diagonal
+        ones ``(lam, lam)`` of size 3 or 4."""
+        pair_tangent.cache_clear()
+        misses = []
+        for ranks in (Ranks(2, 1), Ranks(1, 2)):
+            list(plane_invariants(oracle_forms(ranks, 4)))
+            misses.append(pair_tangent.cache_info().misses)
+        assert misses == [46, 46]
 
     @pytest.mark.parametrize(
         "r1,r2", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]

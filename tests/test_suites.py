@@ -112,14 +112,14 @@ def test_limits_convergence_needs_the_expected_rate(monkeypatch):
 def test_oracle_reports_trivial_plane_weight(monkeypatch):
     """A trivial weight in a diagonal tangent block fails the check of each
     tuple that holds it, naming the tuple, instead of raising."""
-    invariants = oracle.PlaneBlocks.invariants
+    invariants = oracle.block_invariants
 
-    def perturbed(self, key):
-        rank, trivial, taut_rank = invariants(self, key)
+    def perturbed(key):
+        rank, trivial, taut_rank = invariants(key)
         a, b, lam_a, _ = key
         return rank, trivial + (a == b == 0 and sum(lam_a) == 1), taut_rank
 
-    monkeypatch.setattr(oracle.PlaneBlocks, "invariants", perturbed)
+    monkeypatch.setattr(oracle, "block_invariants", perturbed)
     report = suite_oracle(ranks_list=(Ranks(3, 0),), order=1, num_points=1)
     assert report.checks == 9
     assert report.failures == ["plane tangent at ([1]|[]|[]) has a trivial weight"]

@@ -16,11 +16,12 @@ from quotloc.vertex import (
     FixedPoint,
     Ranks,
     box_char,
-    compositions,
     contribution,
     fixed_points,
     framing_char,
+    line_states,
     q_char,
+    slot_states,
     smooth_tangent,
     vertex_block,
     vertex_blocks_sum,
@@ -292,7 +293,7 @@ class TestFramingChar:
 
 
 def test_compositions_order_and_count():
-    cs = list(compositions(3, 2))
+    cs = list(slot_states(2, 3, line_states))
     assert cs == [(3, 0), (2, 1), (1, 2), (0, 3)]
-    assert list(compositions(0, 0)) == [()]
-    assert list(compositions(2, 0)) == []
+    assert list(slot_states(0, 0, line_states)) == [()]
+    assert list(slot_states(0, 2, line_states)) == []
