@@ -73,6 +73,7 @@ def partition_tuples(ranks: Ranks, n: int) -> list:
     return [PartitionTuple(ranks, d) for d in slot_states(ranks.total, n, partitions)]
 
 
+@functools.cache
 def diagram_char(parts: tuple) -> Character:
     """Character of one Young diagram: ``sum_boxes t1^a t2^b``, box ``(a, b)``
     in row ``b`` (one per part) and column ``a`` along the first axis."""
@@ -137,7 +138,15 @@ def pair_tangent(lam_a: tuple, lam_b: tuple) -> Character:
 
 def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
     """The oracle weights as a block table over Young diagrams; its sum must
-    agree coefficientwise with the intersecting-lines localization."""
+    agree coefficientwise with the intersecting-lines localization.
+
+    Only a diagonal block is ever ``None``.  Block ``(a, b)``'s insertion has the
+    weights ``t_i^-1 w t1^x t2^y``, ``w = w_a^-1 w_b``, one per box ``(x, y)`` of
+    ``lam_b``.  Off the diagonal ``w != 1``, so none is trivial; on it ``w = 1``, and
+    ``(a, a, lam, lam)`` is ``None`` exactly when ``lam`` holds the box ``t_i``.  So
+    :meth:`BlockTable.fold`, reading diagonals first, builds no cross block of a
+    killed tuple, and the survivors of degree ``n`` are the ``C(n + r - 1, r - 1)``
+    tuples of a column per line-1 slot and a row per line-2 slot."""
     slots = ranks.slots()
 
     def block(a, b, lam_a, lam_b):

@@ -162,8 +162,9 @@ class BlockTable:
         """Yield ``(states, size, acc)`` for every fixed point up to the order with no
         block of value ``None``; ``acc`` combines ``start`` with its block values.  Fixed
         points are enumerated slot by slot, each prefix carrying the combination of its
-        blocks, so a ``None`` block prunes its branch.  ``value(key)`` is called once per
-        block key per call."""
+        blocks.  A candidate state's blocks are read diagonal ``(k, k, s, s)`` first and
+        the first ``None`` prunes its branch before any later block is read, so
+        ``value(key)`` is called at most once per block key per call."""
         values = {}
         stack = [((), 0, start)]  # (states of the first slots, their size, accumulation)
         while stack:
@@ -174,18 +175,20 @@ class BlockTable:
                     keys = [(k, k, s, s)]
                     for j, s_j in enumerate(states):
                         keys += [(j, k, s_j, s), (k, j, s, s_j)]
+                    blocks = []
                     for key in keys:
                         if key not in values:
                             values[key] = value(key)
-                    blocks = [values[key] for key in keys]
-                    if any(x is None for x in blocks):
-                        continue
-                    acc = functools.reduce(combine, blocks, prefix)
-                    here = states + (s,)
-                    if k + 1 < self.slots:
-                        stack.append((here, size + m, acc))
+                        if values[key] is None:
+                            break
+                        blocks.append(values[key])
                     else:
-                        yield here, size + m, acc
+                        acc = functools.reduce(combine, blocks, prefix)
+                        here = states + (s,)
+                        if k + 1 < self.slots:
+                            stack.append((here, size + m, acc))
+                        else:
+                            yield here, size + m, acc
 
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:

@@ -100,6 +100,13 @@ class TestVerify:
         assert "checks: 9" in out and "failures: 0" in out
         assert out.rstrip().endswith("status: pass")
 
+    @pytest.mark.parametrize("seed", [1, 777])
+    def test_golden_oracle_report(self, seed, capsys):
+        """The oracle suite's report at its defaults, byte for byte."""
+        code, out, _ = run_cli(["verify", "oracle", "--seed", str(seed)], capsys)
+        assert code == EXIT_PASS
+        assert out == (GOLDEN / f"verify_oracle_seed{seed}.txt").read_text()
+
     def test_suite_option_flag_is_rejected(self, capsys):
         """The suite is named only positionally; ``--suite NAME`` is a usage error."""
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
 """The affine-plane Quot scheme cross-check."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 from quotloc.chars import Character, Monomial, T1, T2, k_euler, w_var
@@ -18,6 +21,7 @@ from quotloc.oracle import (
 )
 from quotloc.points import seeded_point
 from quotloc.series import eval_forms, localized_forms
+from quotloc.suites import ranks_up_to
 from quotloc.vertex import Ranks
 
 t1 = Monomial.var(T1)
@@ -211,13 +215,16 @@ class TestOracleEquality:
     def test_pair_tangent_is_built_once_per_process(self):
         """A second table of the same order builds no diagram pair's ``P`` again: an
         order-4 table has 46 pairs, 38 with sizes summing to at most 4 and 8 diagonal
-        ones ``(lam, lam)`` of size 3 or 4."""
+        ones ``(lam, lam)`` of size 3 or 4.  Each diagram's box character is built once."""
         pair_tangent.cache_clear()
-        misses = []
+        diagram_char.cache_clear()
+        misses, diagrams = [], set()
         for ranks in (Ranks(2, 1), Ranks(1, 2)):
-            list(plane_invariants(oracle_forms(ranks, 4)))
+            for tup, _, _ in plane_invariants(oracle_forms(ranks, 4)):
+                diagrams.update(tup)
             misses.append(pair_tangent.cache_info().misses)
         assert misses == [46, 46]
+        assert diagram_char.cache_info().misses == len(diagrams) == 12
 
     @pytest.mark.parametrize(
         "r1,r2", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]
@@ -228,3 +235,56 @@ class TestOracleEquality:
         for seed in (3, 17, 2024):
             point = seeded_point(ranks.variables(), seed)
             assert eval_forms(plane, point) == eval_forms(lines, point)
+
+
+class TestZeroClass:
+    """Only a diagonal block can be the zero class, and the fold builds and
+    evaluates no block of a tuple it kills."""
+
+    @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
+    def test_none_exactly_on_diagonal_boxes_t_i(self, ranks):
+        """Every key an order-4 fold can read (diagrams of size <= 4, sizes summing to
+        at most 4 off the diagonal): block ``(a, b, lam_a, lam_b)`` is ``None`` exactly
+        when ``a == b`` and ``lam_a`` holds the box ``t_i``, ``i`` the line of slot ``a``
+        (box ``(1, 0)`` for ``t1``, ``(0, 1)`` for ``t2``).  The surviving tuples of
+        degree ``n`` then number ``C(n + r - 1, r - 1)``, as the broken-line fixed
+        points do."""
+        table = oracle_forms(ranks, 4)
+        diagrams = [lam for n in range(5) for lam in partitions(n)]
+        for a, (i, _) in enumerate(ranks.slots()):
+            for lam in diagrams:
+                holds_t_i = bool(lam) and lam[0] > 1 if i == 1 else len(lam) > 1
+                assert (table.weight(a, a, lam, lam) is None) == holds_t_i
+                for b in range(ranks.total):
+                    for mu in diagrams:
+                        if b != a and sum(lam) + sum(mu) <= 4:
+                            assert table.weight(a, b, lam, mu) is not None
+        folded = table.fold(lambda key: table.weight(*key), lambda acc, _: acc, None)
+        sizes = Counter(size for _, size, _ in folded)
+        r = ranks.total
+        assert [sizes[n] for n in range(5)] == [comb(n + r - 1, r - 1) for n in range(5)]
+
+    @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
+    def test_eval_builds_only_blocks_of_surviving_tuples(self, ranks):
+        """After one evaluation the non-``None`` weights built are exactly the blocks
+        of the tuples the fold yields, and ``value`` is called at most once per key."""
+        table = oracle_forms(ranks, 5)
+        fold, survivors = table.fold, []
+
+        def spy(value, combine, start):
+            calls = Counter()
+
+            def counted(key):
+                calls[key] += 1
+                return value(key)
+
+            for item in fold(counted, combine, start):
+                survivors.append(item[0])
+                yield item
+            assert max(calls.values()) == 1
+
+        table.fold = spy
+        eval_forms(table, seeded_point(ranks.variables(), 5))
+        built = {key for key, w in table.weights.items() if w is not None}
+        r = range(ranks.total)
+        assert built == {(a, b, tup[a], tup[b]) for tup in survivors for a in r for b in r}
