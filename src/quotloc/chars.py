@@ -237,12 +237,6 @@ class Character:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return Character.zero()
-            out = Character.__new__(Character)
-            out._terms = {m: c * other for m, c in self._terms.items()}
-            return out
         if isinstance(other, Monomial):
             out = Character.__new__(Character)
             out._terms = {m * other: c for m, c in self._terms.items()}

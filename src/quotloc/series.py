@@ -162,7 +162,8 @@ class BlockTable:
         """Yield ``(states, size, acc)`` for every fixed point up to the order with no
         block of value ``None``; ``acc`` combines ``start`` with its block values.  Fixed
         points are enumerated slot by slot, each prefix carrying the combination of its
-        blocks.  A candidate state's blocks are read diagonal ``(k, k, s, s)`` first and
+        blocks; sorted stably by size, they come in :func:`~quotloc.vertex.slot_states`
+        order.  A candidate state's blocks are read diagonal ``(k, k, s, s)`` first and
         the first ``None`` prunes its branch before any later block is read, so
         ``value(key)`` is called at most once per block key per call."""
         values = {}
@@ -170,8 +171,9 @@ class BlockTable:
         while stack:
             states, size, prefix = stack.pop()
             k = len(states)
+            last = k + 1 == self.slots  # pushed reversed, the states of a size pop in order
             for m in range(self.order - size + 1):
-                for s in self.states(m):
+                for s in self.states(m) if last else reversed(self.states(m)):
                     keys = [(k, k, s, s)]
                     for j, s_j in enumerate(states):
                         keys += [(j, k, s_j, s), (k, j, s, s_j)]
@@ -185,10 +187,10 @@ class BlockTable:
                     else:
                         acc = functools.reduce(combine, blocks, prefix)
                         here = states + (s,)
-                        if k + 1 < self.slots:
-                            stack.append((here, size + m, acc))
-                        else:
+                        if last:
                             yield here, size + m, acc
+                        else:
+                            stack.append((here, size + m, acc))
 
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:

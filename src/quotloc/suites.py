@@ -8,6 +8,7 @@ suites are deterministic functions of their configuration.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .limits import (
     factored_shift_monomial,
     limit_table,
 )
-from .oracle import oracle_forms, partition_tuples, plane_invariants
+from .oracle import PartitionTuple, oracle_forms, plane_invariants
 from .points import draw_point, rational_stream, retry_points
 from .rational import rat_str, rational
 from .series import (
@@ -91,6 +92,12 @@ class SuiteReport:
         self.checks += 1
         if not ok:
             self.failures.append(describe())
+
+
+def by_degree(leaves) -> list:
+    """The ``(states, size, acc)`` leaves of a :meth:`~quotloc.series.BlockTable.fold`,
+    stably sorted by size: each degree's fixed points in ``slot_states`` order."""
+    return sorted(leaves, key=operator.itemgetter(1))
 
 
 def _first_mismatch(lhs: QSeries, rhs: QSeries):
@@ -275,21 +282,19 @@ def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
     report = SuiteReport("oracle")
     for ranks in ranks_list:
         plane = oracle_forms(ranks, order)
-        folded = {diagrams: acc for diagrams, _, acc in plane_invariants(plane)}
-        for n in range(order + 1):
+        for diagrams, n, (rank, trivial, taut_rank) in by_degree(plane_invariants(plane)):
             expected = ranks.total * n
-            for tup in partition_tuples(ranks, n):
-                rank, trivial, taut_rank = folded[tup.diagrams]
-                report.check(
-                    rank == expected and not trivial,
-                    lambda: f"plane tangent at {tup} has rank {rank} != {expected}"
-                    if rank != expected
-                    else f"plane tangent at {tup} has a trivial weight",
-                )
-                report.check(
-                    taut_rank == expected,
-                    lambda: f"tautological character at {tup} has rank {taut_rank} != {expected}",
-                )
+            tup = lambda: PartitionTuple(ranks, diagrams)  # built only for a failure
+            report.check(
+                rank == expected and not trivial,
+                lambda: f"plane tangent at {tup()} has rank {rank} != {expected}"
+                if rank != expected
+                else f"plane tangent at {tup()} has a trivial weight",
+            )
+            report.check(
+                taut_rank == expected,
+                lambda: f"tautological character at {tup()} has rank {taut_rank} != {expected}",
+            )
         lines = localized_forms(ranks, order)
         _compare_at_points(
             report, f"oracle r={ranks.r1},{ranks.r2}", ranks.variables(),
@@ -322,15 +327,12 @@ def suite_no_twist(
     for ranks in det_ranks:
         table = line_table(ranks, det_len, lambda block: block)
         block_det = lambda key: table.block(*key).det()  # blocks are not kept
-        dets = {bn: det for bn, _, det in table.fold(block_det, operator.mul, Monomial.one())}
-        for n in range(det_len + 1):
+        for lengths, n, got in by_degree(table.fold(block_det, operator.mul, Monomial.one())):
             expected = Monomial([(T1, n * ranks.r1), (T2, n * ranks.r2)])
-            for bn in fixed_points(ranks, n):
-                got = dets[bn.lengths]
-                report.check(
-                    got == expected,
-                    lambda: f"det tangent at {bn} is {got!r} != {expected!r}",
-                )
+            report.check(
+                got == expected,
+                lambda: f"det tangent at {FixedPoint(ranks, lengths)} is {got!r} != {expected!r}",
+            )
     for ranks in ranks_list:
         forms, twist = localized_forms(ranks, order), half_weight_twist(ranks)
         _compare_at_points(
@@ -355,18 +357,20 @@ def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1
     for ranks in ranks_list:
         table = localized_forms(ranks, max_len)
         block_order = lambda key: cy_order(table.weight(*key))
-        orders = {states: o for states, _, o in table.fold(block_order, operator.add, 0)}
+        leaves = by_degree(table.fold(block_order, operator.add, 0))
+        orders = {states: o for states, _, o in leaves}
         rest_vars = (T2,) + ranks.w_vars()
         first_orders = [
             retry_points(rest_vars, rational_stream(seed + k), lambda p: cy_first_order(table, orders, p))
             for k in range(num_seeds)
         ]
-        for n in range(1, max_len + 1):
+        # leaves[0] is the one fixed point of degree 0
+        for n, degree in itertools.groupby(leaves[1:], key=operator.itemgetter(1)):
             label = f"cy-vanishing r={ranks.r1},{ranks.r2} n={n}"
-            bn = min(fixed_points(ranks, n), key=lambda bn: orders[bn.lengths])
-            low = orders[bn.lengths]
+            lengths, _, low = min(degree, key=operator.itemgetter(2))
             for point, values in first_orders:
                 if low <= 0:
+                    bn = FixedPoint(ranks, lengths)
                     report.check(False, lambda: f"{label}: weight at {bn} has order {low} along t1 t2 = 1")
                     continue
                 value, closed = values[n], cy_first_order_closed(ranks, n, point)
@@ -399,8 +403,6 @@ def suite_smooth_chi_y(ranks_list=(Ranks(0, 1), Ranks(0, 2), Ranks(0, 3)), max_l
     report = SuiteReport("smooth-chi-y")
     t2_inv = Character.from_monomial(Monomial.var(T2, -1))
     for ranks in ranks_list:
-        if ranks.r1 != 0:
-            raise ValueError("the smooth-case identity requires r1 = 0")
         for n in range(max_len + 1):
             for bn in fixed_points(ranks, n):
                 tangent = smooth_tangent(bn)

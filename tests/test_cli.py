@@ -145,6 +145,23 @@ class TestVerify:
             main(["verify", "limits"] + ranks)
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "euler-count", "--order", "-1"], "order must be nonnegative"),
+            (["compute", "--order", "-1"], "order must be nonnegative"),
+            (["verify", "closed-form", "--num-points", "0"], "num-points must be at least 1"),
+            (["compute", "--num-points", "0"], "num-points must be at least 1"),
+        ],
+    )
+    def test_out_of_range_flag_exits_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("suite", ["limits", "euler-count", "smooth-chi-y"])
     def test_num_points_rejected_where_no_suite_reads_it(self, suite, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -267,6 +284,24 @@ class TestSizeBudget:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the size budget" in captured.err
+
+    @pytest.mark.parametrize("ranks", [("4", "3"), ("7", "0"), ("1", "6")])
+    def test_limits_over_total_rank_six_exits_usage_before_work(self, ranks, capsys, monkeypatch):
+        """The convergence check moves slot ``k`` as ``(10^6)^(8^k)``, so
+        ``limits`` refuses ``r1 + r2 > 6`` (total rank 6 is admitted)."""
+        from quotloc import cli
+
+        def no_work(args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "cmd_verify", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "limits", "--r1", ranks[0], "--r2", ranks[1]])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r1 + r2 <= 6" in captured.err
+        self.validate(["verify", "limits", "--r1", "3", "--r2", "3"])
 
     @pytest.mark.parametrize("argv", [["compute"]] + [["verify", name] for name in sorted(CLI_SUITES)])
     def test_defaults_fit_the_budget(self, argv, capsys, monkeypatch):

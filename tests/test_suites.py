@@ -19,6 +19,7 @@ from quotloc.suites import (
     suite_framing,
     suite_no_twist,
     suite_oracle,
+    suite_smooth_chi_y,
 )
 from quotloc.vertex import Ranks
 
@@ -123,6 +124,31 @@ def test_oracle_reports_trivial_plane_weight(monkeypatch):
     report = suite_oracle(ranks_list=(Ranks(3, 0),), order=1, num_points=1)
     assert report.checks == 9
     assert report.failures == ["plane tangent at ([1]|[]|[]) has a trivial weight"]
+
+
+def test_oracle_reports_failing_tuples_of_one_degree_in_order(monkeypatch):
+    """Two diagram tuples of one degree that differ in a slot before the last
+    fail in ``partition_tuples`` order, ``[2]`` before ``[1,1]``."""
+    invariants = oracle.block_invariants
+
+    def perturbed(key):
+        rank, trivial, taut_rank = invariants(key)
+        a, b, lam_a, _ = key
+        return rank, trivial + (a == b == 0 and sum(lam_a) == 2), taut_rank
+
+    monkeypatch.setattr(oracle, "block_invariants", perturbed)
+    report = suite_oracle(ranks_list=(Ranks(2, 0),), order=2, num_points=1)
+    assert report.checks == 17
+    assert report.failures == [
+        "plane tangent at ([2]|[]) has a trivial weight",
+        "plane tangent at ([1,1]|[]) has a trivial weight",
+    ]
+
+
+def test_smooth_chi_y_rejects_positive_r1():
+    """The smooth tangent character is defined only for ``r1 = 0``."""
+    with pytest.raises(ValueError):
+        suite_smooth_chi_y(ranks_list=(Ranks(1, 1),))
 
 
 def test_no_twist_reports_wrong_det(monkeypatch):
