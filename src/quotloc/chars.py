@@ -16,6 +16,7 @@ forms is syntactic equality.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 
 from .rational import rational
@@ -333,24 +334,26 @@ class FactoredForm:
 
     __hash__ = None
 
-    def eval_pair(self, point):
-        """Exact value ``prod (1 - m(p))^c`` at a point assignment, as an
-        unreduced integer pair ``(n, d)``: the factor pairs of
-        ``point.factor`` are multiplied as plain integers.  A vanishing
-        numerator factor gives ``n == 0``, and a vanishing denominator factor
-        gives ``d == 0`` whatever else vanishes (see :func:`pair_value`).
-        """
-        num = den = 1
-        factor = point.factor
+    def atoms(self, point):
+        """``(sign, numerator, denominator)``, whose products are :meth:`eval_pair`; the one
+        multiplicity rule: with ``point.factor(m) = (a, b)``, ``(1 - m)^c`` puts ``a`` ``c`` times
+        in the numerator and ``b`` in the denominator if ``c > 0``, else ``b`` and ``a`` ``-c``."""
+        num, den = [], []
         for m, c in self.character.items():
-            a, b = factor(m)
-            if c == 1:
-                num, den = num * a, den * b
-            elif c > 0:
-                num, den = num * a**c, den * b**c
-            else:
-                num, den = num * b**-c, den * a**-c
-        return num, den
+            a, b = point.factor(m)
+            if c < 0:
+                a, b, c = b, a, -c
+            num += [a] * c
+            den += [b] * c
+        return 1, tuple(num), tuple(den)
+
+    def eval_pair(self, point):
+        """Exact value ``prod (1 - m(p))^c`` at a point assignment, as the unreduced
+        integer pair ``(n, d)`` of :meth:`atoms`.  A vanishing numerator factor gives
+        ``n == 0``, a vanishing denominator factor ``d == 0`` whatever else vanishes
+        (see :func:`pair_value`)."""
+        sign, num, den = self.atoms(point)
+        return sign * math.prod(num), math.prod(den)
 
     def eval_point(self, point):
         """The value of :meth:`eval_pair` as one exact rational."""

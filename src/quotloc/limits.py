@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chars import FactoredForm, Monomial, k_euler, pair_value
+from .chars import FactoredForm, Monomial, k_euler
 from .series import BlockTable, line_table
 from .vertex import FixedPoint, Ranks
 
@@ -77,15 +77,15 @@ class LimitValue:
     def is_one(self) -> bool:
         return self.sign == 1 and self.monomial.is_one and self.factors.is_one
 
-    def eval_pair(self, point):
-        """The value at ``point`` as an unreduced integer pair, as
-        :meth:`FactoredForm.eval_pair`."""
-        n, d = self.factors.eval_pair(point)
+    def atoms(self, point):
+        """:meth:`FactoredForm.atoms` of the factors, with the monomial's pair
+        ``point.monomial_pair(monomial)`` put first."""
+        _, num, den = self.factors.atoms(point)
         a, b = point.monomial_pair(self.monomial)
-        return self.sign * a * n, b * d
+        return self.sign, (a,) + num, (b,) + den
 
-    def eval_point(self, point):
-        return pair_value(*self.eval_pair(point))
+    eval_pair = FactoredForm.eval_pair
+    eval_point = FactoredForm.eval_point
 
 
 def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:

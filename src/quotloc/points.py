@@ -25,11 +25,11 @@ class PointExhausted(RuntimeError):
 class PointAssignment:
     """A map from variable ids to nonzero exact rationals.
 
-    Factor values are memoized per assignment, which makes repeated
-    evaluation of factored forms at the same point cheap.
+    Each value is stored with its integer pair and factor values are memoized
+    per assignment, which makes repeated evaluation at the same point cheap.
     """
 
-    __slots__ = ("_values", "_factors")
+    __slots__ = ("_values", "_pairs", "_factors")
 
     def __init__(self, values):
         vals = dict(values)
@@ -37,6 +37,7 @@ class PointAssignment:
             if not q:
                 raise ValueError(f"variable {var_name(v)} assigned zero")
         self._values = vals
+        self._pairs = {v: (q.numerator, q.denominator) for v, q in vals.items()}
         self._factors = {}
 
     def value(self, var):
@@ -52,8 +53,7 @@ class PointAssignment:
         """``m(p)`` as an unreduced integer pair ``(n, d)`` with ``d > 0``."""
         n = d = 1
         for v, e in monomial.exponents():
-            q = self._values[v]
-            a, b = q.numerator, q.denominator
+            a, b = self._pairs[v]
             if e > 0:
                 n, d = n * a**e, d * b**e
             else:

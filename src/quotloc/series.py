@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, Iterable
 
 from .chars import (
@@ -137,6 +138,18 @@ def binom_series(exponent, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+class _Sources(dict):
+    """A plan's sources by first use, read as ``point.factor(m)`` or, for a limit's monomial,
+    ``point.monomial_pair(m)``: standing for the point in a weight's ``atoms``, source ``i``
+    gives the atom indices ``2i, 2i + 1``."""
+
+    def factor(self, m, limit=False):
+        return self.setdefault((m, limit), (2 * len(self), 2 * len(self) + 1))
+
+    def monomial_pair(self, m):
+        return self.factor(m, True)
+
+
 class BlockTable:
     """A localized sum as a product of framing-pair blocks.
 
@@ -145,7 +158,8 @@ class BlockTable:
     size ``n``).  Its tangent character is the sum of its blocks and the
     Euler operator is multiplicative, so its weight is the product over
     ordered slot pairs of ``block(a, b, state_a, state_b)``, which is ``None``
-    for the zero class.  Block weights are built once per table.
+    for the zero class.  Block weights are built once per table, and so is the
+    plan that :meth:`pairs` evaluates at every point.
     """
 
     def __init__(self, slots: int, order: int, states, block):
@@ -192,6 +206,56 @@ class BlockTable:
                         else:
                             stack.append((here, size + m, acc))
 
+    @functools.cached_property
+    def plan(self):
+        """``(sources, blocks, nodes)`` from one :meth:`fold`, whose ``value`` numbers the
+        blocks read, ``(i,)`` (``None``: the zero class), and whose ``combine`` concatenates them
+        into the path of a fixed point.  ``blocks[i]`` is block ``i``'s ``atoms`` (see
+        :class:`_Sources`); ``nodes`` is the fold's prefix tree depth first, in the fold's leaf
+        order, each node ``(k, the 2k + 1 block indices slot k adds, leaf size or None, slot k's
+        state)``."""
+        sources, blocks, nodes = _Sources(), [], []
+
+        def value(key):
+            w = self.weight(*key)
+            if w is not None:
+                blocks.append(w.atoms(sources))
+                return (len(blocks) - 1,)
+
+        last = (None,) * self.slots  # the previous leaf's states, whose prefixes are nodes
+        for states, size, path in self.fold(value, operator.add, ()):
+            k = 0
+            while states[k] == last[k] and k + 1 < self.slots:
+                k += 1
+            for k in range(k, self.slots):  # slot k adds the blocks path[k * k:(k + 1) ** 2]
+                leaf = size if k + 1 == self.slots else None
+                nodes.append((k, path[k * k:(k + 1) ** 2], leaf, states[k]))
+            last = states
+        return list(sources), blocks, nodes
+
+    def pairs(self, point):
+        """Yield ``(states, size, (n, d))`` per leaf of :meth:`fold`, in its order,
+        ``(n, d)`` integer by integer that of a fold of ``eval_pair`` values by pair
+        products.  Each source of the :attr:`plan` is read once and each block pair
+        formed once; the walk keeps one prefix pair per slot."""
+        sources, blocks, nodes = self.plan
+        atoms = []
+        for m, limit in sources:
+            atoms += point.monomial_pair(m) if limit else point.factor(m)
+        nums = [sign * math.prod([atoms[i] for i in num]) for sign, num, _ in blocks]
+        dens = [math.prod([atoms[i] for i in den]) for _, _, den in blocks]
+        prefix, path = [(1, 1)] * (self.slots + 1), [None] * self.slots
+        for k, indices, size, state in nodes:
+            n, d = prefix[k]
+            for i in indices:
+                n *= nums[i]
+                d *= dens[i]
+            path[k] = state
+            if size is None:
+                prefix[k + 1] = n, d
+            else:
+                yield tuple(path), size, (n, d)
+
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
     """The fixed-line sum as a block table: a slot's state is its length and
@@ -218,24 +282,14 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
     return line_table(ranks, order, lambda block: k_euler(-block))
 
 
-def _pair_product(x, y):
-    return x[0] * y[0], x[1] * y[1]
-
-
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
-    """Evaluate a block table at one point and sum each degree: a
-    :meth:`BlockTable.fold` of block values, unreduced integer pairs
-    (:meth:`FactoredForm.eval_pair`) multiplied as plain integers and
-    normalised once per fixed point by :func:`~quotloc.chars.pair_value`,
-    so its zeros and poles are the merged weight's (see :func:`line_table`).
-    """
+    """Evaluate a block table at one point and sum each degree over
+    :meth:`BlockTable.pairs`, whose plan one fold builds on the first call.
+    Each leaf is normalised once by :func:`~quotloc.chars.pair_value`, which
+    raises :class:`~quotloc.chars.PoleAtPoint` exactly when a leaf has ``d ==
+    0``: its zeros and poles are the merged weight's (see :func:`line_table`)."""
     totals = [RAT_ZERO] * (table.order + 1)
-
-    def value(key):  # None: the zero class
-        w = table.weight(*key)
-        return w if w is None else w.eval_pair(point)
-
-    for _, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
+    for _, size, (n, d) in table.pairs(point):
         totals[size] += pair_value(n, d)
     return QSeries(totals)
 
@@ -394,9 +448,8 @@ def cy_first_order(table: BlockTable, orders: dict, rest_point: PointAssignment)
     block products at ``DiagonalPoint(rest_point)`` of its fixed points with
     ``orders[states] == 1``.  Raises :class:`~quotloc.chars.PoleAtPoint` when a
     non-diagonal denominator factor of such a fixed point vanishes there."""
-    point, totals = DiagonalPoint(rest_point), [RAT_ZERO] * (table.order + 1)
-    value = lambda key: table.weight(*key).eval_pair(point)
-    for states, size, (n, d) in table.fold(value, _pair_product, (1, 1)):
+    totals = [RAT_ZERO] * (table.order + 1)
+    for states, size, (n, d) in table.pairs(DiagonalPoint(rest_point)):
         if orders[states] == 1:
             totals[size] += pair_value(n, d)
     return totals

@@ -30,6 +30,7 @@ from quotloc.chars import (
     FactoredForm,
     Monomial,
     PoleAtPoint,
+    k_euler,
     pair_value,
 )
 from quotloc.limits import LimitValue, SpeedOrder, framing_limit, limit_table
@@ -44,8 +45,11 @@ from quotloc.oracle import (
 from quotloc.points import LinearPoint, PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
+    DiagonalPoint,
     QSeries,
     coh_variables,
+    cy_first_order,
+    cy_order,
     eval_forms,
     half_weight_twist,
     line_table,
@@ -53,7 +57,7 @@ from quotloc.series import (
     twisted_point,
 )
 from quotloc.suites import ranks_up_to
-from quotloc.vertex import contribution, fixed_points, vertex_term
+from quotloc.vertex import Ranks, contribution, fixed_points, vertex_term
 
 from strategies import VARS, monomials, nonzero_rationals
 
@@ -322,6 +326,109 @@ def test_fold_yields_each_degree_in_reference_order(kind):
         else:
             items = lambda n: [bn.lengths for bn in fixed_points(ranks, n)]
         folded_once(build(ranks, 5), lambda key: 1, operator.add, 0, items)
+
+
+def pair_product(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
+def folded_pairs(table, point):
+    """The reference of ``BlockTable.pairs``: a fold of the blocks' ``eval_pair``
+    values by pair products, started at ``(1, 1)``."""
+
+    def value(key):
+        w = table.weight(*key)
+        return None if w is None else w.eval_pair(point)
+
+    return list(table.fold(value, pair_product, (1, 1)))
+
+
+PLAN_POINTS = {
+    "plain": lambda p: p,
+    "coincident": lambda p: p.with_values({v: rational(3, 2) for v, _ in p.items() if v[0] == "w"}),
+    "linearized": PointAssignment.linearized,
+    "twisted": twisted_point,
+    "diagonal": DiagonalPoint,
+}
+
+
+def signed_table(ranks, order):
+    """Line blocks as limit values of sign -1 with the monomial ``det`` of the
+    block: every real limit block has sign +1."""
+    return line_table(ranks, order, lambda block: LimitValue(-1, block.det(), k_euler(-block)))
+
+
+PLAN_TABLES = {
+    "line": localized_forms, "limit": limit_table, "oracle": oracle_forms, "signed": signed_table
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLAN_TABLES))
+def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
+    """The compiled plan yields every leaf's unreduced pair ``(n, d)`` in fold order,
+    equal integer by integer to the fold of ``eval_pair`` values, ``d == 0`` leaves
+    included: line, limit, oracle and signed tables of total rank <= 3, at plain,
+    linearized, twisted and diagonal points, and at plain points with all ``w`` equal."""
+    poles = dict.fromkeys(PLAN_POINTS, 0)
+    for ranks in ranks_up_to(3):
+        table = PLAN_TABLES[kind](ranks, 3 if kind == "oracle" else 4)
+        variables = (T1, T2, U1, U2, S1, S2) + ranks.w_vars()
+        variables += tuple(("v",) + slot for slot in ranks.slots())
+        for at, move in PLAN_POINTS.items():
+            point = move(seeded_point(variables, ranks.total))
+            want = folded_pairs(table, point)
+            assert list(table.pairs(point)) == want, (ranks, at)
+            poles[at] += sum(not d for _, _, (_, d) in want)
+    assert [at for at, n in poles.items() if n] == ([] if kind == "limit" else ["coincident"])
+
+
+def block_orders(table):
+    """``ord_D`` of every leaf, folded from its blocks' ``cy_order``."""
+    order = lambda key: cy_order(table.weight(*key))
+    return {states: o for states, _, o in table.fold(order, operator.add, 0)}
+
+
+def test_table_is_compiled_once():
+    """Three ``eval_forms`` calls and one ``cy_first_order`` call on one table run
+    ``table.fold`` once, and give what a fresh table gives."""
+    ranks = Ranks(2, 1)
+    table, fresh = localized_forms(ranks, 4), localized_forms(ranks, 4)
+    orders = block_orders(fresh)
+    fold, calls = table.fold, []
+    table.fold = lambda *args: calls.append(args) or fold(*args)
+    for seed in (1, 2, 3):
+        point = seeded_point(ranks.variables(), seed)
+        assert eval_forms(table, point) == eval_forms(fresh, point)
+    rest = seeded_point((T2,) + ranks.w_vars(), 4)
+    assert cy_first_order(table, orders, rest) == cy_first_order(fresh, orders, rest)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ranks", [Ranks(2, 0), Ranks(2, 1), Ranks(3, 0)], ids=str)
+def test_cy_first_order_pole_rule(ranks):
+    """At a rest point with ``w11 = w12`` some leaves have a vanishing non-diagonal
+    denominator factor.  ``cy_first_order`` raises ``PoleAtPoint`` exactly when the
+    fold reference does: with the true orders, with every leaf of order 1, and with
+    only the pole-free leaves of order 1."""
+    table = localized_forms(ranks, 4)
+    rest = seeded_point((T2,) + ranks.w_vars(), 9)
+    rest = rest.with_values({("w", 1, 2): rest.value(("w", 1, 1))})
+    leaves = folded_pairs(table, DiagonalPoint(rest))
+    poles = {states for states, _, (_, d) in leaves if not d}
+    orders = block_orders(table)
+
+    def reference(orders):
+        totals = [0] * 5
+        for states, size, (n, d) in leaves:
+            if orders[states] == 1:
+                totals[size] += pair_value(n, d)
+        return totals
+
+    for case in (orders, dict.fromkeys(orders, 1), {s: int(s not in poles) for s in orders}):
+        got = outcome(lambda: cy_first_order(table, case, rest))
+        assert got == outcome(lambda: reference(case))
+        assert (got == "pole") == any(case[s] == 1 for s in poles)
+    assert poles
 
 
 def test_oracle_block_products_equal_oracle_contribution():
