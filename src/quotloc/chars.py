@@ -335,7 +335,7 @@ class FactoredForm:
     __hash__ = None
 
     def atoms(self, point):
-        """``(sign, numerator, denominator)``, whose products are :meth:`eval_pair`; the one
+        """``(numerator, denominator)``, whose products are :meth:`eval_pair`; the one
         multiplicity rule: with ``point.factor(m) = (a, b)``, ``(1 - m)^c`` puts ``a`` ``c`` times
         in the numerator and ``b`` in the denominator if ``c > 0``, else ``b`` and ``a`` ``-c``."""
         num, den = [], []
@@ -345,15 +345,15 @@ class FactoredForm:
                 a, b, c = b, a, -c
             num += [a] * c
             den += [b] * c
-        return 1, tuple(num), tuple(den)
+        return tuple(num), tuple(den)
 
     def eval_pair(self, point):
         """Exact value ``prod (1 - m(p))^c`` at a point assignment, as the unreduced
         integer pair ``(n, d)`` of :meth:`atoms`.  A vanishing numerator factor gives
         ``n == 0``, a vanishing denominator factor ``d == 0`` whatever else vanishes
         (see :func:`pair_value`)."""
-        sign, num, den = self.atoms(point)
-        return sign * math.prod(num), math.prod(den)
+        num, den = self.atoms(point)
+        return math.prod(num), math.prod(den)
 
     def eval_point(self, point):
         """The value of :meth:`eval_pair` as one exact rational."""

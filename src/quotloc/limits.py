@@ -62,27 +62,26 @@ class SpeedOrder:
 
 @dataclass(frozen=True)
 class LimitValue:
-    """An exact framing limit: ``sign * monomial * prod (1 - m)^c`` with a
-    pure-``t`` monomial and pure-``t`` factors."""
+    """An exact framing limit: ``monomial * prod (1 - m)^c`` with a pure-``t``
+    monomial and pure-``t`` factors."""
 
-    sign: int
     monomial: Monomial
     factors: FactoredForm
 
     @classmethod
     def from_monomial(cls, m: Monomial) -> "LimitValue":
-        return cls(1, m, FactoredForm.one())
+        return cls(m, FactoredForm.one())
 
     @property
     def is_one(self) -> bool:
-        return self.sign == 1 and self.monomial.is_one and self.factors.is_one
+        return self.monomial.is_one and self.factors.is_one
 
     def atoms(self, point):
         """:meth:`FactoredForm.atoms` of the factors, with the monomial's pair
         ``point.monomial_pair(monomial)`` put first."""
-        _, num, den = self.factors.atoms(point)
+        num, den = self.factors.atoms(point)
         a, b = point.monomial_pair(self.monomial)
-        return self.sign, (a,) + num, (b,) + den
+        return (a,) + num, (b,) + den
 
     eval_pair = FactoredForm.eval_pair
     eval_point = FactoredForm.eval_point
@@ -91,12 +90,15 @@ class LimitValue:
 def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
     """Exact limit of a factored form under the speed hierarchy.
 
-    Raises :class:`DivergentLimit` when the product of growing monomials
-    retains a framing variable.
+    A growing ``(1 - m)^c`` tends to ``(-m)^c``.  Raises :class:`DivergentLimit`
+    when the growing monomials' product keeps a framing variable, and
+    ``ValueError`` when the growing multiplicity ``g`` (the sum of their ``c``)
+    is odd: the limit's sign ``(-1)^g`` is then -1.  No line block has odd ``g``:
+    a cross block is ``w(i,a)^-1 w(j,b)`` times a pure-``t`` character of rank
+    0, so its factors all grow or all decay, and ``g`` is 0 or minus that rank,
+    0; a diagonal block has no ``w``, so nothing in it grows.
     """
-    kept = []
-    residual = Monomial.one()
-    growing_multiplicity = 0
+    kept, residual, growing = [], Monomial.one(), 0
     for m, c in form.factors():
         cls = order.classify(m)
         if cls == DECAYING:
@@ -105,13 +107,12 @@ def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
             kept.append((m, c))
         else:
             residual = residual * m**c
-            growing_multiplicity += c
+            growing += c
     if any(v[0] == "w" for v in residual.variables()):
-        raise DivergentLimit(
-            f"unbalanced framing exponents in growing part {residual!r}"
-        )
-    sign = -1 if growing_multiplicity % 2 else 1
-    return LimitValue(sign, residual, FactoredForm(kept))
+        raise DivergentLimit(f"unbalanced framing exponents in growing part {residual!r}")
+    if growing % 2:
+        raise ValueError(f"odd growing multiplicity {growing}: the limit has sign -1")
+    return LimitValue(residual, FactoredForm(kept))
 
 
 def limit_table(ranks: Ranks, order: int) -> BlockTable:

@@ -144,7 +144,7 @@ def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
     weights ``t_i^-1 w t1^x t2^y``, ``w = w_a^-1 w_b``, one per box ``(x, y)`` of
     ``lam_b``.  Off the diagonal ``w != 1``, so none is trivial; on it ``w = 1``, and
     ``(a, a, lam, lam)`` is ``None`` exactly when ``lam`` holds the box ``t_i``.  So
-    :meth:`BlockTable.fold`, reading diagonals first, builds no cross block of a
+    :meth:`BlockTable.walk`, reading diagonals first, builds no cross block of a
     killed tuple, and the survivors of degree ``n`` are the ``C(n + r - 1, r - 1)``
     tuples of a column per line-1 slot and a row per line-2 slot."""
     slots = ranks.slots()

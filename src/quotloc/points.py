@@ -25,11 +25,11 @@ class PointExhausted(RuntimeError):
 class PointAssignment:
     """A map from variable ids to nonzero exact rationals.
 
-    Each value is stored with its integer pair and factor values are memoized
-    per assignment, which makes repeated evaluation at the same point cheap.
+    Each value is stored with its integer pair, from which monomial and factor
+    values are read as unreduced integer pairs.
     """
 
-    __slots__ = ("_values", "_pairs", "_factors")
+    __slots__ = ("_values", "_pairs")
 
     def __init__(self, values):
         vals = dict(values)
@@ -38,7 +38,6 @@ class PointAssignment:
                 raise ValueError(f"variable {var_name(v)} assigned zero")
         self._values = vals
         self._pairs = {v: (q.numerator, q.denominator) for v, q in vals.items()}
-        self._factors = {}
 
     def value(self, var):
         try:
@@ -62,12 +61,8 @@ class PointAssignment:
 
     def factor(self, monomial):
         """``1 - m(p)`` as an unreduced integer pair ``(d - n, d)``."""
-        factors = self._factors
-        got = factors.get(monomial)
-        if got is None:
-            n, d = self.monomial_pair(monomial)
-            got = factors[monomial] = (d - n, d)
-        return got
+        n, d = self.monomial_pair(monomial)
+        return d - n, d
 
     def with_values(self, overrides) -> "PointAssignment":
         vals = dict(self._values)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, Iterable
 
 from .chars import (
@@ -172,18 +171,20 @@ class BlockTable:
             self.weights[key] = self.block(*key)
         return self.weights[key]
 
-    def fold(self, value, combine, start):
-        """Yield ``(states, size, acc)`` for every fixed point up to the order with no
-        block of value ``None``; ``acc`` combines ``start`` with its block values.  Fixed
-        points are enumerated slot by slot, each prefix carrying the combination of its
-        blocks; sorted stably by size, they come in :func:`~quotloc.vertex.slot_states`
-        order.  A candidate state's blocks are read diagonal ``(k, k, s, s)`` first and
-        the first ``None`` prunes its branch before any later block is read, so
-        ``value(key)`` is called at most once per block key per call."""
+    def walk(self, value):
+        """Yield the prefix tree of the fixed points up to the order with no block of value
+        ``None``, depth first, as nodes ``(k, values, size, state)``: ``state`` on slot ``k``
+        below the last node of depth ``k - 1``, the ``value(key)`` of the ``2k + 1`` blocks it
+        adds, and on the last slot the leaf's size, else ``None``.  Sorted stably by size, the
+        leaves come in :func:`~quotloc.vertex.slot_states` order.  A state's blocks are read
+        diagonal ``(k, k, s, s)`` first, the first ``None`` prunes its branch before any later
+        block is read, and ``value(key)`` is called at most once per block key per call."""
         values = {}
-        stack = [((), 0, start)]  # (states of the first slots, their size, accumulation)
+        stack = [((), 0, None)]  # (states of the first slots, their size, their last node)
         while stack:
-            states, size, prefix = stack.pop()
+            states, size, node = stack.pop()
+            if node:
+                yield node
             k = len(states)
             last = k + 1 == self.slots  # pushed reversed, the states of a size pop in order
             for m in range(self.order - size + 1):
@@ -199,62 +200,64 @@ class BlockTable:
                             break
                         blocks.append(values[key])
                     else:
-                        acc = functools.reduce(combine, blocks, prefix)
-                        here = states + (s,)
                         if last:
-                            yield here, size + m, acc
+                            yield k, tuple(blocks), size + m, s
                         else:
-                            stack.append((here, size + m, acc))
+                            stack.append((states + (s,), size + m, (k, tuple(blocks), None, s)))
+
+    def _leaves(self, nodes, step, start):
+        """Yield ``(states, size, acc)`` per leaf of the :meth:`walk` ``nodes``: ``acc`` is
+        ``start`` taken through ``acc = step(values, acc)`` along its path, kept per slot."""
+        prefix, path = [start] * (self.slots + 1), [None] * self.slots
+        for k, values, size, state in nodes:
+            acc = step(values, prefix[k])
+            path[k] = state
+            if size is None:
+                prefix[k + 1] = acc
+            else:
+                yield tuple(path), size, acc
+
+    def fold(self, value, combine, start):
+        """Yield ``(states, size, acc)`` for every leaf of :meth:`walk`, in its order; ``acc``
+        combines ``start`` with the fixed point's block values, slot by slot."""
+        return self._leaves(self.walk(value), functools.partial(functools.reduce, combine), start)
 
     @functools.cached_property
     def plan(self):
-        """``(sources, blocks, nodes)`` from one :meth:`fold`, whose ``value`` numbers the
-        blocks read, ``(i,)`` (``None``: the zero class), and whose ``combine`` concatenates them
-        into the path of a fixed point.  ``blocks[i]`` is block ``i``'s ``atoms`` (see
-        :class:`_Sources`); ``nodes`` is the fold's prefix tree depth first, in the fold's leaf
-        order, each node ``(k, the 2k + 1 block indices slot k adds, leaf size or None, slot k's
-        state)``."""
-        sources, blocks, nodes = _Sources(), [], []
+        """``(sources, blocks, nodes)``: ``nodes`` is the :meth:`walk` whose ``value`` numbers
+        the blocks read (``None``: the zero class), and ``blocks[i]`` is block ``i``'s
+        ``atoms`` (see :class:`_Sources`)."""
+        sources, blocks = _Sources(), []
 
-        def value(key):
+        def index(key):
             w = self.weight(*key)
             if w is not None:
                 blocks.append(w.atoms(sources))
-                return (len(blocks) - 1,)
+                return len(blocks) - 1
 
-        last = (None,) * self.slots  # the previous leaf's states, whose prefixes are nodes
-        for states, size, path in self.fold(value, operator.add, ()):
-            k = 0
-            while states[k] == last[k] and k + 1 < self.slots:
-                k += 1
-            for k in range(k, self.slots):  # slot k adds the blocks path[k * k:(k + 1) ** 2]
-                leaf = size if k + 1 == self.slots else None
-                nodes.append((k, path[k * k:(k + 1) ** 2], leaf, states[k]))
-            last = states
+        nodes = list(self.walk(index))
         return list(sources), blocks, nodes
 
     def pairs(self, point):
         """Yield ``(states, size, (n, d))`` per leaf of :meth:`fold`, in its order,
         ``(n, d)`` integer by integer that of a fold of ``eval_pair`` values by pair
         products.  Each source of the :attr:`plan` is read once and each block pair
-        formed once; the walk keeps one prefix pair per slot."""
+        formed once."""
         sources, blocks, nodes = self.plan
         atoms = []
         for m, limit in sources:
             atoms += point.monomial_pair(m) if limit else point.factor(m)
-        nums = [sign * math.prod([atoms[i] for i in num]) for sign, num, _ in blocks]
-        dens = [math.prod([atoms[i] for i in den]) for _, _, den in blocks]
-        prefix, path = [(1, 1)] * (self.slots + 1), [None] * self.slots
-        for k, indices, size, state in nodes:
-            n, d = prefix[k]
+        nums = [math.prod([atoms[i] for i in num]) for num, _ in blocks]
+        dens = [math.prod([atoms[i] for i in den]) for _, den in blocks]
+
+        def step(indices, acc):
+            n, d = acc
             for i in indices:
                 n *= nums[i]
                 d *= dens[i]
-            path[k] = state
-            if size is None:
-                prefix[k + 1] = n, d
-            else:
-                yield tuple(path), size, (n, d)
+            return n, d
+
+        return self._leaves(nodes, step, (1, 1))
 
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
@@ -284,7 +287,7 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
 
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     """Evaluate a block table at one point and sum each degree over
-    :meth:`BlockTable.pairs`, whose plan one fold builds on the first call.
+    :meth:`BlockTable.pairs`, whose plan one walk builds on the first call.
     Each leaf is normalised once by :func:`~quotloc.chars.pair_value`, which
     raises :class:`~quotloc.chars.PoleAtPoint` exactly when a leaf has ``d ==
     0``: its zeros and poles are the merged weight's (see :func:`line_table`)."""

@@ -16,6 +16,7 @@ coordinates (``fraction_eval``), not through the integer pairs of
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from quotloc.chars import (
     FactoredForm,
     Monomial,
     PoleAtPoint,
-    k_euler,
     pair_value,
 )
 from quotloc.limits import LimitValue, SpeedOrder, framing_limit, limit_table
@@ -85,7 +85,7 @@ def fraction_eval(weight, point):
     ``Fraction``; a vanishing factor with ``c < 0`` raises ``PoleAtPoint``
     whatever else vanishes.  The zero class ``None`` is 0."""
     if isinstance(weight, LimitValue):
-        scale = weight.sign * fraction_monomial(point, weight.monomial)
+        scale = fraction_monomial(point, weight.monomial)
         return scale * fraction_eval(weight.factors, point)
     if weight is None:
         return Fraction(0)
@@ -352,22 +352,14 @@ PLAN_POINTS = {
 }
 
 
-def signed_table(ranks, order):
-    """Line blocks as limit values of sign -1 with the monomial ``det`` of the
-    block: every real limit block has sign +1."""
-    return line_table(ranks, order, lambda block: LimitValue(-1, block.det(), k_euler(-block)))
-
-
-PLAN_TABLES = {
-    "line": localized_forms, "limit": limit_table, "oracle": oracle_forms, "signed": signed_table
-}
+PLAN_TABLES = {"line": localized_forms, "limit": limit_table, "oracle": oracle_forms}
 
 
 @pytest.mark.parametrize("kind", sorted(PLAN_TABLES))
 def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
     """The compiled plan yields every leaf's unreduced pair ``(n, d)`` in fold order,
     equal integer by integer to the fold of ``eval_pair`` values, ``d == 0`` leaves
-    included: line, limit, oracle and signed tables of total rank <= 3, at plain,
+    included: line, limit and oracle tables of total rank <= 3, at plain,
     linearized, twisted and diagonal points, and at plain points with all ``w`` equal."""
     poles = dict.fromkeys(PLAN_POINTS, 0)
     for ranks in ranks_up_to(3):
@@ -382,6 +374,34 @@ def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
     assert [at for at, n in poles.items() if n] == ([] if kind == "limit" else ["coincident"])
 
 
+def test_plan_holds_the_pruned_prefix_tree_depth_first():
+    """The plan's nodes are the distinct prefixes of the surviving fixed points, one
+    node each, each right before the nodes of its subtree, and a leaf node carries its
+    size: line tables of total rank <= 4 at order 5, and oracle tables of total rank
+    <= 3 at order 4, whose diagonal zero class prunes tuples."""
+    cases = [
+        (localized_forms(ranks, 5), {bn.lengths: n for n in range(6) for bn in fixed_points(ranks, n)})
+        for ranks in ranks_up_to(4)
+    ]
+    for ranks in ranks_up_to(3):
+        table = oracle_forms(ranks, 4)
+        alive = lambda tup: all(table.weight(a, a, lam, lam) is not None for a, lam in enumerate(tup.diagrams))
+        sizes = {tup.diagrams: n for n in range(5) for tup in partition_tuples(ranks, n) if alive(tup)}
+        cases.append((table, sizes))
+    for table, sizes in cases:
+        prefixes, path = [], ()
+        for k, indices, size, state in table.plan[2]:
+            assert k <= len(path) and len(indices) == 2 * k + 1
+            path = path[:k] + (state,)
+            prefixes.append(path)
+            assert size == sizes.get(path), path
+        want = {leaf[:k] for leaf in sizes for k in range(1, table.slots + 1)}
+        assert len(prefixes) == len(set(prefixes)) and set(prefixes) == want
+        below = Counter(p[:k] for p in prefixes for k in range(1, len(p)))
+        for i, p in enumerate(prefixes):
+            assert all(q[:len(p)] == p for q in prefixes[i + 1:i + 1 + below[p]]), p
+
+
 def block_orders(table):
     """``ord_D`` of every leaf, folded from its blocks' ``cy_order``."""
     order = lambda key: cy_order(table.weight(*key))
@@ -390,12 +410,12 @@ def block_orders(table):
 
 def test_table_is_compiled_once():
     """Three ``eval_forms`` calls and one ``cy_first_order`` call on one table run
-    ``table.fold`` once, and give what a fresh table gives."""
+    ``table.walk`` once, and give what a fresh table gives."""
     ranks = Ranks(2, 1)
     table, fresh = localized_forms(ranks, 4), localized_forms(ranks, 4)
     orders = block_orders(fresh)
-    fold, calls = table.fold, []
-    table.fold = lambda *args: calls.append(args) or fold(*args)
+    walk, calls = table.walk, []
+    table.walk = lambda *args: calls.append(args) or walk(*args)
     for seed in (1, 2, 3):
         point = seeded_point(ranks.variables(), seed)
         assert eval_forms(table, point) == eval_forms(fresh, point)

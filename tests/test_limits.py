@@ -20,6 +20,7 @@ from quotloc.limits import (
 from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rational
 from quotloc.series import eval_forms, localized_forms, z_closed
+from quotloc.suites import ranks_up_to
 from quotloc.vertex import Ranks, fixed_points, vertex_block
 
 
@@ -62,7 +63,7 @@ class TestFramingLimit:
         m = Monomial({T1: 1, T2: 1})
         form = FactoredForm([(m, -1)])
         lim = framing_limit(form, ORDER22)
-        assert lim == LimitValue(1, Monomial.one(), form)
+        assert lim == LimitValue(Monomial.one(), form)
 
     def test_unbalanced_growing_diverges(self):
         growing = Monomial({w_var(1, 1): -1, w_var(2, 1): 1})
@@ -77,14 +78,27 @@ class TestFramingLimit:
             Monomial.var(T2)
         )
 
-    def test_odd_growing_multiplicity_flips_sign(self):
+    def test_odd_growing_multiplicity_raises(self):
         single = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T2: 1})
         double = Monomial({w_var(1, 1): -2, w_var(2, 1): 2})
         # both grow; multiplicities 2 - 1 = 1 (odd) and the w parts cancel
         form = FactoredForm([(single, 2), (double, -1)])
-        lim = framing_limit(form, ORDER22)
-        assert lim.sign == -1 and lim.monomial == Monomial({T2: 2})
-        assert lim.factors.is_one
+        with pytest.raises(ValueError, match="odd growing multiplicity 1"):
+            framing_limit(form, ORDER22)
+
+    def test_cross_blocks_have_rank_zero_and_one_framing_part(self):
+        """The premise of the ``framing_limit`` proof that no line block limit has
+        an odd growing multiplicity: every cross block of total rank <= 4 and
+        lengths <= 6 is ``w(i,a)^-1 w(j,b)`` times a pure-``t`` character of rank 0,
+        and every diagonal block is pure ``t``."""
+        slot_pairs = {pair for ranks in ranks_up_to(4) for pair in itertools.product(ranks.slots(), repeat=2)}
+        for (i, a), (j, b) in slot_pairs:
+            framing = Monomial.var(w_var(i, a), -1) * Monomial.var(w_var(j, b))
+            for m_a, m_b in itertools.product(range(7), repeat=2):
+                block = vertex_block((i, a), (j, b), m_a, m_b)
+                parts = {m.restrict(lambda v: v[0] == "w") for m in block.monomials()}
+                assert parts <= {framing}, ((i, a), (j, b), m_a, m_b)
+                assert framing.is_one or block.rank() == 0, ((i, a), (j, b), m_a, m_b)
 
 
 class TestBlockLimits:
@@ -104,7 +118,7 @@ class TestBlockLimits:
 
     def test_diagonal_block_limit_keeps_factors(self):
         lim = limit_table(Ranks(1, 1), 2).weight(0, 0, 2, 2)
-        assert lim.sign == 1 and lim.monomial.is_one
+        assert lim.monomial.is_one
         assert lim.factors == k_euler(-vertex_block((1, 1), (1, 1), 2, 2))
 
 

@@ -267,23 +267,26 @@ class TestZeroClass:
     @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
     def test_eval_builds_only_blocks_of_surviving_tuples(self, ranks):
         """After one evaluation the non-``None`` weights built are exactly the blocks
-        of the tuples the fold yields, and ``value`` is called at most once per key."""
+        of the tuples the walk yields, and ``value`` is called at most once per key."""
         table = oracle_forms(ranks, 5)
-        fold, survivors = table.fold, []
+        walk, survivors = table.walk, []
 
-        def spy(value, combine, start):
-            calls = Counter()
+        def spy(value):
+            calls, path = Counter(), [None] * ranks.total
 
             def counted(key):
                 calls[key] += 1
                 return value(key)
 
-            for item in fold(counted, combine, start):
-                survivors.append(item[0])
-                yield item
+            for node in walk(counted):
+                k, _, size, state = node
+                path[k] = state
+                if size is not None:
+                    survivors.append(tuple(path))
+                yield node
             assert max(calls.values()) == 1
 
-        table.fold = spy
+        table.walk = spy
         eval_forms(table, seeded_point(ranks.variables(), 5))
         built = {key for key, w in table.weights.items() if w is not None}
         r = range(ranks.total)

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import quotloc.suites
+from quotloc.suites import SuiteReport
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -42,3 +45,34 @@ def test_series_table_exits_1_on_a_mismatch(monkeypatch, capsys):
     assert exc.value.code == 1
     rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("ranks")]
     assert len(rows) == 5 and all(row.endswith("[MISMATCH]") for row in rows)
+
+
+def passing_suite(seed=1):
+    return SuiteReport("passing", checks=2)
+
+
+def failing_suite(seed=1):
+    return SuiteReport("failing", checks=3, failures=[f"coefficient 2 differs at seed {seed}"])
+
+
+def run_all_suites(monkeypatch, capsys, suites, argv=()):
+    monkeypatch.setattr(quotloc.suites, "CLI_SUITES", suites)
+    monkeypatch.setattr(sys, "argv", ["run_all_suites.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "run_all_suites.py"), run_name="__main__")
+    return exc.value.code, capsys.readouterr().out.splitlines()
+
+
+def test_run_all_suites_exits_1_on_a_failing_suite(monkeypatch, capsys):
+    suites = {"passing": passing_suite, "failing": failing_suite}
+    code, lines = run_all_suites(monkeypatch, capsys, suites, ["--seed", "7"])
+    assert code == 1 and len(lines) == 3
+    assert lines[0].startswith("passing          pass  checks=2 ")
+    assert lines[1].startswith("failing          FAIL  checks=3 ")
+    assert lines[2] == "    coefficient 2 differs at seed 7"
+
+
+def test_run_all_suites_exits_0_when_every_suite_passes(monkeypatch, capsys):
+    code, lines = run_all_suites(monkeypatch, capsys, {"passing": passing_suite})
+    assert code == 0 and len(lines) == 1
+    assert lines[0].startswith("passing          pass  checks=2 ")
