@@ -27,7 +27,6 @@ from .chars import (
 )
 from .limits import (
     DivergentLimit,
-    LimitValue,
     SpeedOrder,
     framing_limit,
     limit_table,
@@ -53,7 +52,6 @@ from .series import (
     BlockTable,
     DiagonalPoint,
     QSeries,
-    binom_series,
     cy_first_order,
     cy_first_order_closed,
     cy_order,

@@ -299,17 +299,19 @@ class Character:
 
 
 class FactoredForm:
-    """``prod (1 - m)^c`` over the terms ``c m`` of a character of factors.
+    """``monomial * prod (1 - m)^c`` over the terms ``c m`` of a character of factors.
 
-    The image of the K-theoretic Euler operator, never identically zero: the
-    zero class is ``None`` (see :func:`k_euler`).  The trivial monomial is
-    never a factor, and ``character`` is read-only.
+    The image of the K-theoretic Euler operator (``monomial`` 1), never identically zero:
+    the zero class is ``None`` (see :func:`k_euler`); a framing limit keeps a monomial (see
+    :func:`~quotloc.limits.framing_limit`).  The trivial monomial is never a factor, and
+    ``character`` and ``monomial`` are read-only.
     """
 
-    __slots__ = ("character",)
+    __slots__ = ("character", "monomial")
 
-    def __init__(self, factors: Character | Mapping | Iterable = ()):
+    def __init__(self, factors: Character | Mapping | Iterable = (), monomial=_MONOMIAL_ONE):
         self.character = factors if isinstance(factors, Character) else Character(factors)
+        self.monomial = monomial
         if self.character.trivial_coefficient():
             raise ValueError("trivial monomial is not a valid factor")
 
@@ -319,7 +321,7 @@ class FactoredForm:
 
     @property
     def is_one(self) -> bool:
-        return self.character.is_zero
+        return self.monomial.is_one and self.character.is_zero
 
     def factors(self):
         return self.character.items()
@@ -327,18 +329,27 @@ class FactoredForm:
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if not isinstance(other, FactoredForm):
             return NotImplemented
-        return FactoredForm(self.character + other.character)
+        return FactoredForm(self.character + other.character, self.monomial * other.monomial)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FactoredForm) and self.character == other.character
+        return (
+            isinstance(other, FactoredForm)
+            and self.monomial == other.monomial
+            and self.character == other.character
+        )
 
     __hash__ = None
 
     def atoms(self, point):
         """``(numerator, denominator)``, whose products are :meth:`eval_pair`; the one
         multiplicity rule: with ``point.factor(m) = (a, b)``, ``(1 - m)^c`` puts ``a`` ``c`` times
-        in the numerator and ``b`` in the denominator if ``c > 0``, else ``b`` and ``a`` ``-c``."""
+        in the numerator and ``b`` in the denominator if ``c > 0``, else ``b`` and ``a`` ``-c``.
+        A monomial other than 1 puts its pair ``point.monomial_pair(monomial)`` first."""
         num, den = [], []
+        if not self.monomial.is_one:
+            a, b = point.monomial_pair(self.monomial)
+            num.append(a)
+            den.append(b)
         for m, c in self.character.items():
             a, b = point.factor(m)
             if c < 0:
@@ -348,8 +359,8 @@ class FactoredForm:
         return tuple(num), tuple(den)
 
     def eval_pair(self, point):
-        """Exact value ``prod (1 - m(p))^c`` at a point assignment, as the unreduced
-        integer pair ``(n, d)`` of :meth:`atoms`.  A vanishing numerator factor gives
+        """Exact value ``monomial(p) * prod (1 - m(p))^c`` at a point assignment, as the
+        unreduced integer pair ``(n, d)`` of :meth:`atoms`.  A vanishing numerator factor gives
         ``n == 0``, a vanishing denominator factor ``d == 0`` whatever else vanishes
         (see :func:`pair_value`)."""
         num, den = self.atoms(point)
@@ -360,13 +371,11 @@ class FactoredForm:
         return pair_value(*self.eval_pair(point))
 
     def __repr__(self) -> str:
-        if self.character.is_zero:
-            return "1"
-        bits = []
+        bits = [] if self.monomial.is_one else [repr(self.monomial)]
         for m, c in sorted(self.factors(), key=lambda mc: mc[0].exponents()):
             base = f"(1 - {m!r})"
             bits.append(base if c == 1 else f"{base}^{c}")
-        return "*".join(bits)
+        return "*".join(bits) or "1"
 
 
 def k_euler(character: Character) -> FactoredForm | None:

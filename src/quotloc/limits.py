@@ -60,35 +60,9 @@ class SpeedOrder:
         return NEUTRAL
 
 
-@dataclass(frozen=True)
-class LimitValue:
-    """An exact framing limit: ``monomial * prod (1 - m)^c`` with a pure-``t``
-    monomial and pure-``t`` factors."""
-
-    monomial: Monomial
-    factors: FactoredForm
-
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "LimitValue":
-        return cls(m, FactoredForm.one())
-
-    @property
-    def is_one(self) -> bool:
-        return self.monomial.is_one and self.factors.is_one
-
-    def atoms(self, point):
-        """:meth:`FactoredForm.atoms` of the factors, with the monomial's pair
-        ``point.monomial_pair(monomial)`` put first."""
-        num, den = self.factors.atoms(point)
-        a, b = point.monomial_pair(self.monomial)
-        return (a,) + num, (b,) + den
-
-    eval_pair = FactoredForm.eval_pair
-    eval_point = FactoredForm.eval_point
-
-
-def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
-    """Exact limit of a factored form under the speed hierarchy.
+def framing_limit(form: FactoredForm, order: SpeedOrder) -> FactoredForm:
+    """Exact limit of a factored form under the speed hierarchy: a pure-``t`` monomial
+    times the form's neutral factors.
 
     A growing ``(1 - m)^c`` tends to ``(-m)^c``.  Raises :class:`DivergentLimit`
     when the growing monomials' product keeps a framing variable, and
@@ -112,7 +86,7 @@ def framing_limit(form: FactoredForm, order: SpeedOrder) -> LimitValue:
         raise DivergentLimit(f"unbalanced framing exponents in growing part {residual!r}")
     if growing % 2:
         raise ValueError(f"odd growing multiplicity {growing}: the limit has sign -1")
-    return LimitValue(residual, FactoredForm(kept))
+    return FactoredForm(kept, residual)
 
 
 def limit_table(ranks: Ranks, order: int) -> BlockTable:

@@ -120,25 +120,13 @@ def plethystic_exp(f_eval: Callable[[int], object], order: int) -> QSeries:
     return QSeries(log_coeffs).exp()
 
 
-def binom_series(exponent, order: int) -> QSeries:
-    """The binomial series ``(1/(1-q))^c``: coefficient of ``q^n`` is
-    ``c (c+1) ... (c+n-1) / n!``."""
-    c = exponent
-    coeffs = [RAT_ONE]
-    value = RAT_ONE
-    for n in range(1, order + 1):
-        value = value * (c + (n - 1)) / rational(n)
-        coeffs.append(value)
-    return QSeries(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # localized series
 # ---------------------------------------------------------------------------
 
 
 class _Sources(dict):
-    """A plan's sources by first use, read as ``point.factor(m)`` or, for a limit's monomial,
+    """A plan's sources by first use, read as ``point.factor(m)`` or, for a form's monomial,
     ``point.monomial_pair(m)``: standing for the point in a weight's ``atoms``, source ``i``
     gives the atom indices ``2i, 2i + 1``."""
 
@@ -391,11 +379,11 @@ def coh_variables(ranks: Ranks) -> tuple:
 
 def zcoh_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """Closed cohomological form: ``(1/(1-q))^c`` with
-    ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``."""
+    ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``, the plethystic exponential of ``c``."""
     s1 = point.value(("s", 1))
     s2 = point.value(("s", 2))
     c = (s1 + s2) * (ranks.r1 * s1 + ranks.r2 * s2) / (s1 * s2)
-    return binom_series(c, order)
+    return plethystic_exp(lambda k: c, order)
 
 
 # ---------------------------------------------------------------------------

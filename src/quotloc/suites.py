@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .chars import (
     Character,
+    FactoredForm,
     Monomial,
     T1,
     T2,
@@ -25,7 +26,6 @@ from .chars import (
     w_var,
 )
 from .limits import (
-    LimitValue,
     crossing_shift_monomial,
     factored_shift_monomial,
     limit_table,
@@ -227,7 +227,7 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
                         lambda: f"limit of block ({i}{j},{alpha}{beta}) at {bn} is {fwd} != 1",
                     )
                     back = table.weight(hi, lo, n_high, n_low)
-                    expected = LimitValue.from_monomial(Monomial.var(("t", j), n_low))
+                    expected = FactoredForm(monomial=Monomial.var(("t", j), n_low))
                     report.check(
                         back == expected,
                         lambda: f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",

@@ -213,6 +213,35 @@ class TestEvalPoint:
             assert forward * backward == 1
 
 
+class TestFormMonomial:
+    """A form ``monomial * prod (1 - m)^c``: the monomial takes part in equality,
+    products, ``is_one``, the repr and the atoms."""
+
+    def test_equality_and_is_one(self):
+        assert FactoredForm(monomial=t2) != FactoredForm.one()
+        assert FactoredForm([(t1, 1)], t2) != FactoredForm([(t1, 1)])
+        assert not FactoredForm(monomial=t2).is_one
+        assert FactoredForm(monomial=Monomial.one()).is_one
+
+    def test_product_multiplies_monomials(self):
+        product = FactoredForm([(t1, 1)], t2) * FactoredForm([(t1, -1)], t1 * t2.inverse())
+        assert product == FactoredForm(monomial=t1)
+        assert (FactoredForm(monomial=t2) * FactoredForm(monomial=t2.inverse())).is_one
+
+    def test_repr(self):
+        assert repr(FactoredForm([(t1, 1)], t2**3)) == "t2^3*(1 - t1)"
+        assert repr(FactoredForm(monomial=t2**3)) == "t2^3"
+        assert repr(FactoredForm([(t1, -2)])) == "(1 - t1)^-2"
+        assert repr(FactoredForm.one()) == "1"
+
+    def test_atoms_put_the_monomial_pair_first(self):
+        p = PointAssignment({T1: rational(2), T2: rational(3, 5)})
+        form = FactoredForm([(t1, 1), (t2, -1)], t2**2)
+        assert form.atoms(p) == ((9, -1, 5), (25, 1, 2))
+        assert FactoredForm([(t1, 1), (t2, -1)]).atoms(p) == ((-1, 5), (1, 2))
+        assert form.eval_point(p) == rational(-9, 10)
+
+
 class TestHalfWeights:
     """The twisted point ``t_i = u_i^2`` evaluates ``t`` monomials in the
     ``u`` variables; framing variables keep their values."""

@@ -2,12 +2,14 @@
 
 import inspect
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quotloc
 from quotloc.chars import T1, T2
 from quotloc.cli import (
     EXIT_IO,
@@ -343,11 +345,15 @@ class TestSizeBudget:
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
+        # the child imports quotloc from where this test did, installed or not
+        src = str(Path(quotloc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "quotloc.cli", "verify", "euler-count",
              "--r1", "1", "--r2", "0", "--order", "5"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == EXIT_PASS
         assert "status: pass" in proc.stdout

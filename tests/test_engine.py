@@ -33,7 +33,7 @@ from quotloc.chars import (
     PoleAtPoint,
     pair_value,
 )
-from quotloc.limits import LimitValue, SpeedOrder, framing_limit, limit_table
+from quotloc.limits import SpeedOrder, framing_limit, limit_table
 from quotloc.oracle import (
     oracle_contribution,
     oracle_forms,
@@ -81,18 +81,15 @@ def fraction_monomial(point, m):
 
 
 def fraction_eval(weight, point):
-    """A weight's value at a point, multiplying ``(1 - m(p))^c`` in
-    ``Fraction``; a vanishing factor with ``c < 0`` raises ``PoleAtPoint``
-    whatever else vanishes.  The zero class ``None`` is 0."""
-    if isinstance(weight, LimitValue):
-        scale = fraction_monomial(point, weight.monomial)
-        return scale * fraction_eval(weight.factors, point)
+    """A weight's value at a point, multiplying ``(1 - m(p))^c`` in ``Fraction``
+    onto its monomial's value; a vanishing factor with ``c < 0`` raises
+    ``PoleAtPoint`` whatever else vanishes.  The zero class ``None`` is 0."""
     if weight is None:
         return Fraction(0)
     values = [(1 - fraction_monomial(point, m), c) for m, c in weight.factors()]
     if any(not f and c < 0 for f, c in values):
         raise PoleAtPoint("a denominator factor vanishes")
-    return math.prod((f**c for f, c in values), start=Fraction(1))
+    return math.prod((f**c for f, c in values), start=fraction_monomial(point, weight.monomial))
 
 
 def same(point):
@@ -261,6 +258,7 @@ MULTIPLICITIES = st.sampled_from((-3, -2, -1, 1, 2, 3))
 FORMS = st.builds(
     FactoredForm,
     st.lists(st.tuples(monomials(-3, 3, allow_trivial=False), MULTIPLICITIES), max_size=6),
+    st.one_of(st.just(Monomial.one()), monomials(-3, 3)),
 )
 
 
@@ -478,8 +476,7 @@ def factor_signs(weight):
     weight; ``None`` for the zero class."""
     if weight is None:
         return None
-    form = weight.factors if isinstance(weight, LimitValue) else weight
-    return frozenset((m, c > 0) for m, c in form.factors())
+    return frozenset((m, c > 0) for m, c in weight.factors())
 
 
 def test_no_factor_sits_in_two_blocks_with_opposite_signs():

@@ -15,7 +15,6 @@ from quotloc.rational import rational
 from quotloc.series import (
     DiagonalPoint,
     QSeries,
-    binom_series,
     coh_variables,
     cy_first_order,
     cy_first_order_closed,
@@ -109,21 +108,15 @@ class TestPlethysticExp:
 
 
 class TestBinomSeries:
-    def test_integer_exponents(self):
-        assert binom_series(rational(1), 5).coefficients == tuple(
-            rational(1) for _ in range(6)
-        )
-        assert [int(c) for c in binom_series(rational(2), 5).coefficients] == [
-            1, 2, 3, 4, 5, 6,
-        ]
+    """The binomial series ``(1/(1-q))^c`` is the plethystic exponential of the constant ``c``."""
 
     def test_half(self):
-        assert binom_series(rational(1, 2), 3).coefficient(2) == rational(3, 8)
+        assert plethystic_exp(lambda k: rational(1, 2), 3).coefficient(2) == rational(3, 8)
 
     @given(st.integers(1, 6), st.integers(0, 8))
     def test_against_comb(self, c, n):
         # independent oracle: (1/(1-q))^c has coefficients C(n+c-1, n)
-        assert binom_series(rational(c), n).coefficient(n) == math.comb(n + c - 1, n)
+        assert plethystic_exp(lambda k: rational(c), n).coefficient(n) == math.comb(n + c - 1, n)
 
 
 class TestLocalizedVsClosed:

@@ -3,7 +3,7 @@
 import pytest
 
 from quotloc import oracle, series, suites
-from quotloc.chars import Character, Monomial, PoleAtPoint, T1, w_var
+from quotloc.chars import Character, FactoredForm, Monomial, PoleAtPoint, T1, w_var
 from quotloc.points import PointAssignment, draw_point, rational_stream
 from quotloc.rational import rational
 from quotloc.series import QSeries
@@ -17,6 +17,7 @@ from quotloc.suites import (
     suite_cy_vanishing,
     suite_factorization,
     suite_framing,
+    suite_limits,
     suite_no_twist,
     suite_oracle,
     suite_smooth_chi_y,
@@ -108,6 +109,22 @@ def test_limits_convergence_needs_the_expected_rate(monkeypatch):
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 5
     assert all("no convergence" in f for f in report.failures)
+
+
+def test_limits_reports_a_wrong_block_limit(monkeypatch):
+    """A wrong block limit fails its one check, naming the block's slots, the
+    fixed point and the limit's form."""
+    build = suites.limit_table
+
+    def perturbed(ranks, order):
+        table = build(ranks, order)
+        table.weights[(1, 0, 1, 2)] = table.weight(1, 0, 1, 2) * FactoredForm([(Monomial.var(T1), 1)])
+        return table
+
+    monkeypatch.setattr(suites, "limit_table", perturbed)
+    report = suite_limits(ranks=Ranks(1, 1), max_len=2)
+    assert report.checks == 158
+    assert report.failures == ["limit of block (21,11) at (2|1) is t2^2*(1 - t1) != t2^2"]
 
 
 def test_oracle_reports_trivial_plane_weight(monkeypatch):
