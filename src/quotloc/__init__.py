@@ -27,7 +27,6 @@ from .chars import (
 )
 from .limits import (
     DivergentLimit,
-    SpeedOrder,
     framing_limit,
     limit_table,
 )

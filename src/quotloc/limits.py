@@ -20,9 +20,7 @@ mechanical computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .chars import FactoredForm, Monomial, k_euler
+from .chars import T1, T2, FactoredForm, Monomial, k_euler
 from .series import BlockTable, line_table
 from .vertex import FixedPoint, Ranks
 
@@ -33,34 +31,17 @@ class DivergentLimit(ArithmeticError):
     """The growing factors' framing exponents do not cancel."""
 
 
-@dataclass(frozen=True)
-class SpeedOrder:
-    """Speed hierarchy of the framing variables for one rank pair.
-
-    ``degree`` reads a monomial's framing exponents from the fastest
-    variable down to the slowest; the lexicographic sign of that vector
-    classifies the monomial as growing, neutral or decaying.
-    """
-
-    ranks: Ranks
-
-    def fast_to_slow(self) -> tuple:
-        """Framing variables ordered fastest first (reverse slot order)."""
-        return tuple(("w",) + slot for slot in reversed(self.ranks.slots()))
-
-    def degree(self, m: Monomial) -> tuple:
-        return tuple(m.exponent(v) for v in self.fast_to_slow())
-
-    def classify(self, m: Monomial) -> int:
-        for e in self.degree(m):
-            if e > 0:
-                return GROWING
-            if e < 0:
-                return DECAYING
-        return NEUTRAL
+def classify(m: Monomial, ranks: Ranks) -> int:
+    """The sign of ``m``'s first nonzero framing exponent, the framing variables
+    read fastest first (the slot order reversed): growing, neutral or decaying."""
+    for slot in reversed(ranks.slots()):
+        e = m.exponent(("w",) + slot)
+        if e:
+            return GROWING if e > 0 else DECAYING
+    return NEUTRAL
 
 
-def framing_limit(form: FactoredForm, order: SpeedOrder) -> FactoredForm:
+def framing_limit(form: FactoredForm, ranks: Ranks) -> FactoredForm:
     """Exact limit of a factored form under the speed hierarchy: a pure-``t`` monomial
     times the form's neutral factors.
 
@@ -74,12 +55,10 @@ def framing_limit(form: FactoredForm, order: SpeedOrder) -> FactoredForm:
     """
     kept, residual, growing = [], Monomial.one(), 0
     for m, c in form.factors():
-        cls = order.classify(m)
-        if cls == DECAYING:
-            continue
+        cls = classify(m, ranks)
         if cls == NEUTRAL:
             kept.append((m, c))
-        else:
+        elif cls == GROWING:
             residual = residual * m**c
             growing += c
     if any(v[0] == "w" for v in residual.variables()):
@@ -96,8 +75,18 @@ def limit_table(ranks: Ranks, order: int) -> BlockTable:
     limit.  Agreement with the closed form re-derives the factorization into
     rank-one series.
     """
-    speed = SpeedOrder(ranks)
-    return line_table(ranks, order, lambda block: framing_limit(k_euler(-block), speed))
+    return line_table(ranks, order, lambda block: framing_limit(k_euler(-block), ranks))
+
+
+def slot_shifts(ranks: Ranks) -> tuple:
+    """The q-shift of each slot, in slot order: ``t1^(r1-a) t2^r2`` on slot
+    ``(1, a)`` and ``t2^(r2-a)`` on slot ``(2, a)``, the product of ``t_j``
+    over the slots ``(j, b)`` after it."""
+    r1, r2 = ranks.r1, ranks.r2
+    return tuple(
+        Monomial([(T1, r1 - a), (T2, r2)]) if i == 1 else Monomial.var(T2, r2 - a)
+        for i, a in ranks.slots()
+    )
 
 
 def crossing_shift_monomial(bn: FixedPoint) -> Monomial:
@@ -113,13 +102,6 @@ def crossing_shift_monomial(bn: FixedPoint) -> Monomial:
 
 def factored_shift_monomial(bn: FixedPoint) -> Monomial:
     """The same product rearranged per slot, as it enters the q-shifts:
-    ``prod_a (t1^(r1-a) t2^r2)^(n_1a) * prod_a t2^((r2-a) n_2a)``."""
-    r1, r2 = bn.ranks.r1, bn.ranks.r2
-    exps = {("t", 1): 0, ("t", 2): 0}
-    for a in range(1, r1 + 1):
-        m = bn.length(1, a)
-        exps[("t", 1)] += (r1 - a) * m
-        exps[("t", 2)] += r2 * m
-    for a in range(1, r2 + 1):
-        exps[("t", 2)] += (r2 - a) * bn.length(2, a)
-    return Monomial(exps)
+    ``prod_slot shift^(n_slot)`` over the :func:`slot_shifts`."""
+    pairs = zip(slot_shifts(bn.ranks), bn.lengths)
+    return Monomial([(v, e * n) for shift, n in pairs for v, e in shift.exponents()])

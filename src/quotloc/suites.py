@@ -29,6 +29,7 @@ from .limits import (
     crossing_shift_monomial,
     factored_shift_monomial,
     limit_table,
+    slot_shifts,
 )
 from .oracle import PartitionTuple, oracle_forms, plane_invariants
 from .points import draw_point, rational_stream, retry_points
@@ -79,7 +80,6 @@ def ranks_up_to(total: int) -> tuple:
 class SuiteReport:
     """Outcome of one verification suite."""
 
-    name: str
     checks: int = 0
     failures: list = field(default_factory=list)
 
@@ -118,13 +118,14 @@ def _series_check(report, label, point, lhs, rhs):
     )
 
 
-def _compare_at_points(report, label, variables, lhs, rhs, num_points, seed):
-    """Check ``lhs(p) == rhs(p)`` at ``num_points`` pole-free points drawn
-    from one seeded stream; a pole on either side redraws the point."""
+def _compare_at_points(report, labels, variables, sides, num_points, seed):
+    """Check each ``lhs`` of ``sides(p) == (*lhs, rhs)`` against ``rhs``, under its label, at
+    ``num_points`` points drawn from one seeded stream; a pole on any side redraws the point."""
     stream = rational_stream(seed)
     for _ in range(num_points):
-        point, (left, right) = retry_points(variables, stream, lambda p: (lhs(p), rhs(p)))
-        _series_check(report, label, point, left, right)
+        point, (*lefts, right) = retry_points(variables, stream, sides)
+        for label, left in zip(labels, lefts):
+            _series_check(report, label, point, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +135,12 @@ def _compare_at_points(report, label, variables, lhs, rhs, num_points, seed):
 
 def suite_closed_form(ranks_list=CLOSED_FORM_RANKS, order=6, num_points=5, seed=1):
     """Localized residue sums equal the plethystic closed form."""
-    report = SuiteReport("closed-form")
+    report = SuiteReport()
     for ranks in ranks_list:
         forms = localized_forms(ranks, order)
         _compare_at_points(
-            report, f"closed-form r={ranks.r1},{ranks.r2}", ranks.variables(),
-            lambda p: eval_forms(forms, p), lambda p: z_closed(ranks, p, order),
+            report, [f"closed-form r={ranks.r1},{ranks.r2}"], ranks.variables(),
+            lambda p: (eval_forms(forms, p), z_closed(ranks, p, order)),
             num_points, seed,
         )
     return report
@@ -147,17 +148,17 @@ def suite_closed_form(ranks_list=CLOSED_FORM_RANKS, order=6, num_points=5, seed=
 
 def suite_rank1_product(order=8, num_points=5, seed=1):
     """The rank-one product formula matches the closed form."""
-    report = SuiteReport("rank1-product")
+    report = SuiteReport()
     _compare_at_points(
-        report, "rank1-product", (T1, T2), lambda p: z_rank1_product(p, order),
-        lambda p: z_closed(Ranks(1, 0), p, order), num_points, seed,
+        report, ["rank1-product"], (T1, T2),
+        lambda p: (z_rank1_product(p, order), z_closed(Ranks(1, 0), p, order)), num_points, seed,
     )
     return report
 
 
 def suite_framing(ranks=Ranks(2, 2), order=5, num_assignments=3, seed=1):
     """The coefficient vector is independent of the framing values."""
-    report = SuiteReport("framing")
+    report = SuiteReport()
     forms = localized_forms(ranks, order)
     stream = rational_stream(seed)
     t_values = {T1: next(stream), T2: next(stream)}
@@ -187,33 +188,28 @@ def suite_factorization(ranks_list=FACTORIZATION_RANKS, order=4, num_points=3, s
     """Limit calculus and the explicit rank-one factorization of the series:
     the limit table's sum, the product of q-shifted rank-one closed forms and
     the localized sum all equal the closed form at one full point."""
-    report = SuiteReport("factorization")
+    report = SuiteReport()
     for ranks in ranks_list:
         forms = localized_forms(ranks, order)
         limits = limit_table(ranks, order)
 
         def sides(p):
-            t1, t2 = p.value(T1), p.value(T2)
-            line1, line2 = z_closed(Ranks(1, 0), p, order), z_closed(Ranks(0, 1), p, order)
+            lines = {1: z_closed(Ranks(1, 0), p, order), 2: z_closed(Ranks(0, 1), p, order)}
             product = QSeries.one(order)
-            for a in range(1, ranks.r1 + 1):
-                product = product * line1.scale_q(t1 ** (ranks.r1 - a) * t2**ranks.r2)
-            for a in range(1, ranks.r2 + 1):
-                product = product * line2.scale_q(t2 ** (ranks.r2 - a))
+            for (i, _a), shift in zip(ranks.slots(), slot_shifts(ranks)):
+                product = product * lines[i].scale_q(pair_value(*p.monomial_pair(shift)))
             return eval_forms(limits, p), product, eval_forms(forms, p), z_closed(ranks, p, order)
 
-        stream = rational_stream(seed)
-        for _ in range(num_points):
-            point, (*sums, closed) = retry_points(ranks.variables(), stream, sides)
-            for label, lhs in zip(("limits-sum", "factorized-product", "localized-vs-factorized"), sums):
-                _series_check(report, f"{label} r={ranks.r1},{ranks.r2}", point, lhs, closed)
+        names = ("limits-sum", "factorized-product", "localized-vs-factorized")
+        labels = [f"{name} r={ranks.r1},{ranks.r2}" for name in names]
+        _compare_at_points(report, labels, ranks.variables(), sides, num_points, seed)
     return report
 
 
 def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
     """Block-by-block framing limits: the two symbolic limit identities,
     the q-shift bookkeeping and numeric convergence toward the limit."""
-    report = SuiteReport("limits")
+    report = SuiteReport()
     slots, table = ranks.slots(), limit_table(ranks, max_len)
     for lo in range(len(slots)):
         for hi in range(lo + 1, len(slots)):
@@ -279,7 +275,7 @@ def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
     and at every diagram tuple the tangent ``T`` and the insertion ``I`` have
     rank ``r n`` and ``T`` has no trivial weight, folded over the blocks of the
     oracle table (:func:`~quotloc.oracle.plane_invariants`)."""
-    report = SuiteReport("oracle")
+    report = SuiteReport()
     for ranks in ranks_list:
         plane = oracle_forms(ranks, order)
         for diagrams, n, (rank, trivial, taut_rank) in by_degree(plane_invariants(plane)):
@@ -297,8 +293,8 @@ def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
             )
         lines = localized_forms(ranks, order)
         _compare_at_points(
-            report, f"oracle r={ranks.r1},{ranks.r2}", ranks.variables(),
-            lambda p: eval_forms(plane, p), lambda p: eval_forms(lines, p),
+            report, [f"oracle r={ranks.r1},{ranks.r2}"], ranks.variables(),
+            lambda p: (eval_forms(plane, p), eval_forms(lines, p)),
             num_points, seed,
         )
     return report
@@ -306,12 +302,12 @@ def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
 
 def suite_cohomological(ranks_list=TWIST_RANKS, order=4, num_points=5, seed=1):
     """Cohomological residues equal the binomial closed form."""
-    report = SuiteReport("cohomological")
+    report = SuiteReport()
     for ranks in ranks_list:
         forms = localized_forms(ranks, order)
         _compare_at_points(
-            report, f"cohomological r={ranks.r1},{ranks.r2}", coh_variables(ranks),
-            lambda p: eval_forms(forms, p.linearized()), lambda p: zcoh_closed(ranks, p, order),
+            report, [f"cohomological r={ranks.r1},{ranks.r2}"], coh_variables(ranks),
+            lambda p: (eval_forms(forms, p.linearized()), zcoh_closed(ranks, p, order)),
             num_points, seed,
         )
     return report
@@ -323,7 +319,7 @@ def suite_no_twist(
     """Determinant of the tangent character, the product of the dets of its
     blocks ``T_ab`` (a line table of the blocks themselves), and the
     half-weight twisted series against its closed form."""
-    report = SuiteReport("no-twist")
+    report = SuiteReport()
     for ranks in det_ranks:
         table = line_table(ranks, det_len, lambda block: block)
         block_det = lambda key: table.block(*key).det()  # blocks are not kept
@@ -336,9 +332,9 @@ def suite_no_twist(
     for ranks in ranks_list:
         forms, twist = localized_forms(ranks, order), half_weight_twist(ranks)
         _compare_at_points(
-            report, f"twisted r={ranks.r1},{ranks.r2}", (u_var(1), u_var(2)) + ranks.w_vars(),
-            lambda p: eval_forms(forms, twisted_point(p)).scale_q(pair_value(*p.monomial_pair(twist))),
-            lambda p: zhat_closed(ranks, p, order), num_points, seed,
+            report, [f"twisted r={ranks.r1},{ranks.r2}"], (u_var(1), u_var(2)) + ranks.w_vars(),
+            lambda p: (eval_forms(forms, twisted_point(p)).scale_q(pair_value(*p.monomial_pair(twist))),
+                       zhat_closed(ranks, p, order)), num_points, seed,
         )
     return report
 
@@ -353,7 +349,7 @@ def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1
     seed for all degrees, the first-order term must equal the closed form's;
     a weight with ``ord_D <= 0`` fails every check of its degree.
     """
-    report = SuiteReport("cy-vanishing")
+    report = SuiteReport()
     for ranks in ranks_list:
         table = localized_forms(ranks, max_len)
         block_order = lambda key: cy_order(table.weight(*key))
@@ -384,7 +380,7 @@ def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1
 
 def suite_euler_count(ranks_list=ranks_up_to(4), max_len=10):
     """Fixed-point counts match the binomial generating series."""
-    report = SuiteReport("euler-count")
+    report = SuiteReport()
     for ranks in ranks_list:
         series = euler_char_series(ranks, max_len)
         for n in range(max_len + 1):
@@ -400,7 +396,7 @@ def suite_euler_count(ranks_list=ranks_up_to(4), max_len=10):
 def suite_smooth_chi_y(ranks_list=(Ranks(0, 1), Ranks(0, 2), Ranks(0, 3)), max_len=5):
     """One-line moduli: the tangent character identity
     ``T_vir = T - t2^-1 T`` holds symbolically at every fixed point."""
-    report = SuiteReport("smooth-chi-y")
+    report = SuiteReport()
     t2_inv = Character.from_monomial(Monomial.var(T2, -1))
     for ranks in ranks_list:
         for n in range(max_len + 1):
@@ -457,7 +453,7 @@ def random_character(rng: random.Random, nontrivial=False) -> Character:
 def suite_vertex_properties(count=100, seed=1):
     """Rank zero, block reconstruction, movability and framing balance of
     randomly generated tangent characters."""
-    report = SuiteReport("vertex-properties")
+    report = SuiteReport()
     rng = random.Random(seed)
     for _ in range(count):
         bn = random_fixed_point(rng)
@@ -484,7 +480,7 @@ def suite_vertex_properties(count=100, seed=1):
 def suite_diagonal_blocks(max_len=8):
     """Closed form of the diagonal blocks:
     ``(1 - t_i^-1) sum_(a=1..m) t_ihat^-a``."""
-    report = SuiteReport("diagonal-blocks")
+    report = SuiteReport()
     for i in (1, 2):
         for m in range(max_len + 1):
             block = vertex_block((i, 1), (i, 1), m, m)
@@ -503,7 +499,7 @@ def suite_diagonal_blocks(max_len=8):
 
 def suite_bar_involution(count=100, seed=1):
     """``bar`` is an involutive ring map on random characters."""
-    report = SuiteReport("bar-involution")
+    report = SuiteReport()
     rng = random.Random(seed)
     for _ in range(count):
         c = random_character(rng)
@@ -518,7 +514,7 @@ def suite_bar_involution(count=100, seed=1):
 
 def suite_euler_multiplicativity(count=100, seed=1):
     """``k_euler(a + b) = k_euler(a) k_euler(b)`` on random characters."""
-    report = SuiteReport("euler-multiplicativity")
+    report = SuiteReport()
     rng = random.Random(seed)
     for _ in range(count):
         a = random_character(rng, nontrivial=True)

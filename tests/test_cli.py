@@ -109,6 +109,15 @@ class TestVerify:
         assert code == EXIT_PASS
         assert out == (GOLDEN / f"verify_oracle_seed{seed}.txt").read_text()
 
+    @pytest.mark.parametrize("suite,seed", [(s, n) for s in ("limits", "factorization") for n in (1, 777)])
+    def test_golden_limit_calculus_report(self, suite, seed, capsys):
+        """The reports of the suites that read the framing-limit calculus, at
+        their defaults, byte for byte: 1367 checks for limits, 27 for
+        factorization."""
+        code, out, _ = run_cli(["verify", suite, "--seed", str(seed)], capsys)
+        assert code == EXIT_PASS
+        assert out == (GOLDEN / f"verify_{suite}_seed{seed}.txt").read_text()
+
     def test_suite_option_flag_is_rejected(self, capsys):
         """The suite is named only positionally; ``--suite NAME`` is a usage error."""
         with pytest.raises(SystemExit) as exc:
@@ -188,7 +197,7 @@ class TestVerify:
         from quotloc.suites import SuiteReport
 
         def broken_suite(**kw):
-            return SuiteReport("closed-form", 3, ["r=1,0 q^1 differs: 1/2 vs 1/3"])
+            return SuiteReport(checks=3, failures=["r=1,0 q^1 differs: 1/2 vs 1/3"])
 
         monkeypatch.setitem(cli.CLI_SUITES, "closed-form", broken_suite)
         code, out, _ = run_cli(["verify", "closed-form"], capsys)

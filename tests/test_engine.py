@@ -33,7 +33,7 @@ from quotloc.chars import (
     PoleAtPoint,
     pair_value,
 )
-from quotloc.limits import SpeedOrder, framing_limit, limit_table
+from quotloc.limits import framing_limit, limit_table
 from quotloc.oracle import (
     oracle_contribution,
     oracle_forms,
@@ -136,8 +136,7 @@ def ref_cohomological(ranks, order):
 
 def ref_limits(ranks, order):
     """The framing limit of each fixed point's whole weight."""
-    speed = SpeedOrder(ranks)
-    weight = lambda bn: framing_limit(contribution(bn), speed)
+    weight = lambda bn: framing_limit(contribution(bn), ranks)
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
 
 

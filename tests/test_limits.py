@@ -10,11 +10,12 @@ from quotloc.limits import (
     GROWING,
     NEUTRAL,
     DivergentLimit,
-    SpeedOrder,
+    classify,
     crossing_shift_monomial,
     factored_shift_monomial,
     framing_limit,
     limit_table,
+    slot_shifts,
 )
 from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rational
@@ -23,57 +24,63 @@ from quotloc.suites import ranks_up_to
 from quotloc.vertex import Ranks, fixed_points, vertex_block
 
 
-ORDER22 = SpeedOrder(Ranks(2, 2))
+RANKS22 = Ranks(2, 2)
 
 
-class TestSpeedOrder:
-    def test_fast_to_slow(self):
-        assert ORDER22.fast_to_slow() == (
-            w_var(2, 2), w_var(2, 1), w_var(1, 2), w_var(1, 1),
-        )
+class TestClassify:
+    def test_later_slot_outruns_earlier_on_every_slot_pair(self):
+        """On all four slots of (2,2), ``w_k^5 w_l^-1`` with ``k < l`` decays
+        whatever ``t`` monomial it carries, and its inverse grows."""
+        slots = RANKS22.slots()
+        for k, l in itertools.combinations(range(len(slots)), 2):
+            for t_part in (Monomial.one(), Monomial({T1: 3, T2: -2})):
+                m = Monomial({w_var(*slots[k]): 5, w_var(*slots[l]): -1}) * t_part
+                assert classify(m, RANKS22) == DECAYING, (slots[k], slots[l])
+                assert classify(m.inverse(), RANKS22) == GROWING, (slots[k], slots[l])
+
+    def test_fastest_variable_decides(self):
+        m = Monomial({w_var(1, 1): 2, w_var(2, 2): -3})
+        assert classify(m, RANKS22) == DECAYING
+        assert classify(m.inverse(), RANKS22) == GROWING
 
     def test_cross_group_dominance(self):
         m = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T1: 1})
-        assert ORDER22.classify(m) == GROWING
-        assert ORDER22.classify(m.inverse()) == DECAYING
+        assert classify(m, RANKS22) == GROWING
+        assert classify(m.inverse(), RANKS22) == DECAYING
 
     def test_pure_t_is_neutral(self):
-        assert ORDER22.classify(Monomial({T1: 1, T2: -3})) == NEUTRAL
-        assert ORDER22.classify(Monomial.one()) == NEUTRAL
+        assert classify(Monomial({T1: 1, T2: -3}), RANKS22) == NEUTRAL
+        assert classify(Monomial.one(), RANKS22) == NEUTRAL
 
     def test_within_group_later_slot_dominates(self):
         # the first limit identity forces the speeds to increase along the
         # slot order, so w11 * w12^-1 decays
         m = Monomial({w_var(1, 1): 1, w_var(1, 2): -1})
-        assert ORDER22.classify(m) == DECAYING
-        assert ORDER22.classify(m.inverse()) == GROWING
-
-    def test_degree_vector(self):
-        m = Monomial({w_var(1, 1): 2, w_var(2, 2): -3})
-        assert ORDER22.degree(m) == (-3, 0, 0, 2)
+        assert classify(m, RANKS22) == DECAYING
+        assert classify(m.inverse(), RANKS22) == GROWING
 
 
 class TestFramingLimit:
     def test_decaying_factors_drop(self):
         m = Monomial({w_var(1, 1): 1, w_var(2, 1): -1, T1: 2})
-        assert framing_limit(FactoredForm([(m, 5)]), ORDER22).is_one
+        assert framing_limit(FactoredForm([(m, 5)]), RANKS22).is_one
 
     def test_neutral_factors_kept(self):
         m = Monomial({T1: 1, T2: 1})
         form = FactoredForm([(m, -1)])
-        lim = framing_limit(form, ORDER22)
+        lim = framing_limit(form, RANKS22)
         assert lim == form
 
     def test_unbalanced_growing_diverges(self):
         growing = Monomial({w_var(1, 1): -1, w_var(2, 1): 1})
         with pytest.raises(DivergentLimit):
-            framing_limit(FactoredForm([(growing, 1)]), ORDER22)
+            framing_limit(FactoredForm([(growing, 1)]), RANKS22)
 
     def test_balanced_growing_pair(self):
         up = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T2: 1})
         down = Monomial({w_var(1, 1): -1, w_var(2, 1): 1})
         form = FactoredForm([(up, 1), (down, -1)])
-        assert framing_limit(form, ORDER22) == FactoredForm(monomial=Monomial.var(T2))
+        assert framing_limit(form, RANKS22) == FactoredForm(monomial=Monomial.var(T2))
 
     def test_odd_growing_multiplicity_raises(self):
         single = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T2: 1})
@@ -81,7 +88,7 @@ class TestFramingLimit:
         # both grow; multiplicities 2 - 1 = 1 (odd) and the w parts cancel
         form = FactoredForm([(single, 2), (double, -1)])
         with pytest.raises(ValueError, match="odd growing multiplicity 1"):
-            framing_limit(form, ORDER22)
+            framing_limit(form, RANKS22)
 
     def test_cross_blocks_have_rank_zero_and_one_framing_part(self):
         """The premise of the ``framing_limit`` proof that no line block limit has
@@ -120,6 +127,18 @@ class TestBlockLimits:
 
 
 class TestShiftBookkeeping:
+    def test_slot_shift_is_the_product_over_later_slots(self):
+        """Slot ``k``'s q-shift is ``t_j`` multiplied over the slots ``(j, b)``
+        after ``k``, for every rank pair of total rank <= 4."""
+        for ranks in ranks_up_to(4):
+            slots, shifts = ranks.slots(), slot_shifts(ranks)
+            assert len(shifts) == len(slots)
+            for k, shift in enumerate(shifts):
+                later = [0, 0]
+                for j, _b in slots[k + 1 :]:
+                    later[j - 1] += 1
+                assert shift == Monomial({T1: later[0], T2: later[1]}), (ranks, slots[k])
+
     def test_rearrangement_identity(self):
         for r1 in range(0, 4):
             for r2 in range(0, 4 - r1):

@@ -48,11 +48,11 @@ def test_series_table_exits_1_on_a_mismatch(monkeypatch, capsys):
 
 
 def passing_suite(seed=1):
-    return SuiteReport("passing", checks=2)
+    return SuiteReport(checks=2)
 
 
 def failing_suite(seed=1):
-    return SuiteReport("failing", checks=3, failures=[f"coefficient 2 differs at seed {seed}"])
+    return SuiteReport(checks=3, failures=[f"coefficient 2 differs at seed {seed}"])
 
 
 def run_all_suites(monkeypatch, capsys, suites, argv=()):

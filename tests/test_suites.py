@@ -2,7 +2,7 @@
 
 import pytest
 
-from quotloc import oracle, series, suites
+from quotloc import limits, oracle, series, suites
 from quotloc.chars import Character, FactoredForm, Monomial, PoleAtPoint, T1, w_var
 from quotloc.points import PointAssignment, draw_point, rational_stream
 from quotloc.rational import rational
@@ -26,7 +26,7 @@ from quotloc.vertex import Ranks
 
 
 def test_report_check_counts_and_lazy_descriptions():
-    report = SuiteReport("demo")
+    report = SuiteReport()
     report.check(True, lambda: 1 / 0)  # description not evaluated on pass
     report.check(False, lambda: "lazy string")
     assert report.checks == 2
@@ -35,7 +35,7 @@ def test_report_check_counts_and_lazy_descriptions():
 
 
 def test_series_check_reports_first_mismatch():
-    report = SuiteReport("demo")
+    report = SuiteReport()
     point = PointAssignment({("t", 1): rational(2)})
     lhs = QSeries([rational(1), rational(2), rational(7)])
     rhs = QSeries([rational(1), rational(2), rational(5)])
@@ -95,7 +95,7 @@ def test_limits_convergence_is_strict(monkeypatch):
     monkeypatch.setattr(
         series, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
     )
-    report = SuiteReport("limits")
+    report = SuiteReport()
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 6
 
@@ -105,7 +105,7 @@ def test_limits_convergence_needs_the_expected_rate(monkeypatch):
     ``big^-(8 - 1)``, converges too slowly for every other slot pair."""
     slowest = Monomial([(w_var(1, 1), -1), (w_var(1, 2), 1)])
     monkeypatch.setattr(series, "vertex_block", lambda *args: Character.from_monomial(slowest))
-    report = SuiteReport("limits")
+    report = SuiteReport()
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
     assert report.checks == 6 and len(report.failures) == 5
     assert all("no convergence" in f for f in report.failures)
@@ -233,3 +233,21 @@ def test_factorization_redraws_the_whole_point_on_a_pole(monkeypatch):
     first, second = (draw_point(ranks.variables(), stream) for _ in range(2))
     assert seen[0].items() == first.items()
     assert seen[1].items() == seen[2].items() == second.items()
+
+
+def test_one_slot_shift_serves_both_q_shift_sides(monkeypatch):
+    """A wrong first slot shift fails the factorized product and the q-shift
+    bookkeeping alike: both read ``limits.slot_shifts``."""
+    build = limits.slot_shifts
+
+    def wrong_first(ranks):
+        return (Monomial.one(),) + build(ranks)[1:]
+
+    monkeypatch.setattr(limits, "slot_shifts", wrong_first)
+    monkeypatch.setattr(suites, "slot_shifts", wrong_first)
+    report = suite_factorization(ranks_list=(Ranks(2, 1),), order=2, num_points=1)
+    assert report.checks == 3 and len(report.failures) == 1
+    assert report.failures[0].startswith("factorized-product r=2,1: q^1 differs")
+    report = suite_limits(Ranks(2, 1), max_len=1)
+    assert not report.passed
+    assert all(f.startswith("q-shift bookkeeping fails at") for f in report.failures)
