@@ -59,6 +59,7 @@ from .series import (
     half_weight_twist,
     localized_forms,
     plethystic_exp,
+    single_box,
     twisted_point,
     z_closed,
     z_rank1_product,

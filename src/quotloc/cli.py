@@ -15,8 +15,8 @@ Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
 byte-identical across runs with the same configuration (wall time goes to
 stderr).  Exit codes: 0 pass, 1 suite failure, 2 usage error (including a
-run over the size budget ``MAX_FIXED_POINTS`` or ``MAX_LIMITS_RANK`` and a
-configuration under which the suite makes no checks), 3 evaluation exhausted
+run over the size budget ``MAX_FIXED_POINTS`` and a configuration under
+which the suite makes no checks), 3 evaluation exhausted
 its point budget, 4 the report could not be written.
 """
 
@@ -42,7 +42,6 @@ EXIT_EXHAUSTED = 3
 EXIT_IO = 4
 
 MAX_FIXED_POINTS = 10**5  # fixed points up to order n at total rank r (fixed_point_count)
-MAX_LIMITS_RANK = 6  # limits moves slot k as (10^6)^(8^k): slot 6 of rank 7 has 1.6 million digits
 
 
 class NoChecks(ValueError):
@@ -221,8 +220,8 @@ def _validate(parser, args) -> None:
         parser.error(f"the {suite} suite takes no --num-points")
     if suite == "smooth-chi-y" and args.r1:
         parser.error("the smooth-chi-y suite requires r1 = 0")
-    if suite == "limits" and ranks is not None and not 2 <= ranks.total <= MAX_LIMITS_RANK:
-        parser.error(f"the limits suite needs 2 <= r1 + r2 <= {MAX_LIMITS_RANK}")
+    if suite == "limits" and ranks is not None and ranks.total < 2:
+        parser.error("the limits suite needs r1 + r2 >= 2")
     bound = inspect.signature(fn).bind(**run_kwargs(args, fn))
     bound.apply_defaults()  # size budget: the largest order n and total rank r the run asks for
     given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]

@@ -100,8 +100,9 @@ def crossing_shift_monomial(bn: FixedPoint) -> Monomial:
     return total
 
 
-def factored_shift_monomial(bn: FixedPoint) -> Monomial:
+def factored_shift_monomial(bn: FixedPoint, shifts: tuple) -> Monomial:
     """The same product rearranged per slot, as it enters the q-shifts:
-    ``prod_slot shift^(n_slot)`` over the :func:`slot_shifts`."""
-    pairs = zip(slot_shifts(bn.ranks), bn.lengths)
+    ``prod_slot shift^(n_slot)`` over ``shifts``, the :func:`slot_shifts` of
+    ``bn.ranks`` (built once per rank pair)."""
+    pairs = zip(shifts, bn.lengths)
     return Monomial([(v, e * n) for shift, n in pairs for v, e in shift.exponents()])

@@ -69,6 +69,10 @@ class PointAssignment:
         vals.update(overrides)
         return PointAssignment(vals)
 
+    def power(self, k: int) -> "PointAssignment":
+        """The point whose every value is this one's ``k``-th power."""
+        return PointAssignment({v: q**k for v, q in self._values.items()})
+
     def linearized(self) -> "LinearPoint":
         """The same ``(s, v)`` values, read as a cohomological point."""
         return LinearPoint(self._values)

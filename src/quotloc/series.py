@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 from .chars import (
     T1,
     T2,
+    Character,
     FactoredForm,
     Monomial,
     k_euler,
@@ -285,23 +286,19 @@ def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     return QSeries(totals)
 
 
+def single_box(framing: Monomial) -> FactoredForm:
+    """The single-box term ``(1 - t1 t2)(1 - framing) / ((1 - t1)(1 - t2))``, the one
+    closed side: every closed form reads it, with ``framing = t1^r1 t2^r2``
+    (:meth:`~quotloc.vertex.Ranks.framing`), at a point of the right kind."""
+    t1, t2 = Monomial.var(T1), Monomial.var(T2)
+    return FactoredForm([(t1 * t2, 1), (framing, 1), (t1, -1), (t2, -1)])
+
+
 def z_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
-    """The closed form: the plethystic exponential of
-    ``q (1 - t1 t2)(1 - t1^r1 t2^r2) / ((1 - t1)(1 - t2))``."""
-    t1 = point.value(t_var(1))
-    t2 = point.value(t_var(2))
-
-    def f(k: int):
-        a, b = t1**k, t2**k
-        return (1 - a * b) * closed_g(ranks, a, b)
-
-    return plethystic_exp(f, order)
-
-
-def closed_g(ranks: Ranks, a, b):
-    """The single-box term without its ``(1 - t1 t2)`` factor,
-    ``G = (1 - a^r1 b^r2) / ((1 - a)(1 - b))`` at ``t1 = a``, ``t2 = b``."""
-    return (1 - a**ranks.r1 * b**ranks.r2) / ((1 - a) * (1 - b))
+    """The closed form: the plethystic exponential of ``q`` times the
+    :func:`single_box`, read at ``point.power(k)`` for ``q^k``."""
+    box = single_box(ranks.framing())
+    return plethystic_exp(lambda k: box.eval_point(point.power(k)), order)
 
 
 def z_rank1_product(point: PointAssignment, order: int) -> QSeries:
@@ -330,9 +327,8 @@ def z_rank1_product(point: PointAssignment, order: int) -> QSeries:
 def half_weight_twist(ranks: Ranks) -> Monomial:
     """The square root of the determinant twist at degree one, written in
     the ``u`` variables: ``(t1^r1 t2^r2)^(-1/2) = u1^-r1 u2^-r2``.  Degree
-    ``n`` takes its ``n``-th power, so the twisted series at ``p`` is
-    ``eval_forms(localized_forms(ranks, order), twisted_point(p))`` with
-    ``q`` scaled by this monomial's value at ``p``."""
+    ``n`` takes its ``n``-th power: the twisted series and :func:`zhat_closed`
+    scale ``q`` by its value."""
     return Monomial([(u_var(1), -ranks.r1), (u_var(2), -ranks.r2)])
 
 
@@ -346,23 +342,12 @@ def twisted_point(point: PointAssignment) -> PointAssignment:
 def zhat_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """Closed form of the twisted series: the plethystic exponential of
     ``q [t1 t2][t1^r1 t2^r2] / ([t1][t2])`` with ``[x] = x^(1/2) - x^(-1/2)``
-    realized through the ``u`` variables."""
-    u1 = point.value(u_var(1))
-    u2 = point.value(u_var(2))
-    r1, r2 = ranks.r1, ranks.r2
-
-    def bracket(x):
-        return x - 1 / x
-
-    def f(k: int):
-        a, b = u1**k, u2**k
-        return (
-            bracket(a * b)
-            * bracket(a**r1 * b**r2)
-            / (bracket(a) * bracket(b))
-        )
-
-    return plethystic_exp(f, order)
+    realized through the ``u`` variables.  Since ``[x] = -x^(-1/2) (1 - x)``,
+    that term is the :func:`single_box` at ``t_i = u_i^2`` times the
+    :func:`half_weight_twist`: :func:`z_closed` at :func:`twisted_point`, with
+    ``q`` scaled by the twist's value."""
+    twist = pair_value(*point.monomial_pair(half_weight_twist(ranks)))
+    return z_closed(ranks, twisted_point(point), order).scale_q(twist)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +363,11 @@ def coh_variables(ranks: Ranks) -> tuple:
 
 
 def zcoh_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
-    """Closed cohomological form: ``(1/(1-q))^c`` with
-    ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``, the plethystic exponential of ``c``."""
-    s1 = point.value(("s", 1))
-    s2 = point.value(("s", 2))
-    c = (s1 + s2) * (ranks.r1 * s1 + ranks.r2 * s2) / (s1 * s2)
+    """Closed cohomological form: ``(1/(1-q))^c``, the plethystic exponential
+    of the constant ``c``, the :func:`single_box` at ``point.linearized()``.
+    There each ``1 - t^mu`` reads ``-mu . s``, so
+    ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``."""
+    c = single_box(ranks.framing()).eval_point(point.linearized())
     return plethystic_exp(lambda k: c, order)
 
 
@@ -447,9 +432,12 @@ def cy_first_order(table: BlockTable, orders: dict, rest_point: PointAssignment)
 
 
 def cy_first_order_closed(ranks: Ranks, n: int, rest_point: PointAssignment):
-    """The closed form's first-order term of ``q^n`` along ``D``:
-    ``G(t1^n, t2^n)`` at ``t1 = 1/t2``, since the plethystic logarithm is
-    ``sum_k q^k (1 - (t1 t2)^k) G(t1^k, t2^k) / k`` and
-    ``1 - x^k = k (1 - x) + O((1 - x)^2)``."""
-    t2 = rest_point.value(T2)
-    return closed_g(ranks, (1 / t2) ** n, t2**n)
+    """The closed form's first-order term of ``q^n`` along ``D``: ``G``, the
+    :func:`single_box` without its ``(1 - t1 t2)``, at the ``n``-th power of the
+    plain point ``t1 = 1/t2``, since the plethystic logarithm is
+    ``sum_k q^k (1 - (t1 t2)^k) G(t1^k, t2^k) / k`` and ``1 - x^k = k (1 - x)
+    + O((1 - x)^2)``.  Not at a :class:`DiagonalPoint`: ``1 - (t1 t2)^r`` of
+    ``r1 = r2 = r`` must read 0."""
+    box = single_box(ranks.framing()).character
+    g = FactoredForm(box - Character.from_monomial(Monomial([(T1, 1), (T2, 1)])))
+    return g.eval_point(rest_point.with_values({T1: 1 / rest_point.value(T2)}).power(n))

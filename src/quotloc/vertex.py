@@ -53,6 +53,10 @@ class Ranks:
             (2, a) for a in range(1, self.r2 + 1)
         )
 
+    def framing(self) -> Monomial:
+        """``t1^r1 t2^r2``, the framing factor of the closed form's single box."""
+        return Monomial([(t_var(1), self.r1), (t_var(2), self.r2)])
+
     def w_vars(self) -> tuple:
         return tuple(w_var(i, a) for i, a in self.slots())
 

@@ -145,9 +145,10 @@ class TestShiftBookkeeping:
                 if r1 + r2 == 0:
                     continue
                 ranks = Ranks(r1, r2)
+                shifts = slot_shifts(ranks)
                 for n in range(6):
                     for bn in fixed_points(ranks, n):
-                        assert crossing_shift_monomial(bn) == factored_shift_monomial(bn)
+                        assert crossing_shift_monomial(bn) == factored_shift_monomial(bn, shifts)
 
 
 class TestZViaLimits:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotloc.chars import FactoredForm, Monomial, T1, T2, pair_value, u_var
-from quotloc.limits import limit_table
+from quotloc.chars import Character, FactoredForm, Monomial, T1, T2, pair_value, u_var
+from quotloc.limits import limit_table, slot_shifts
 from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
@@ -25,6 +25,7 @@ from quotloc.series import (
     half_weight_twist,
     localized_forms,
     plethystic_exp,
+    single_box,
     twisted_point,
     z_closed,
     z_rank1_product,
@@ -209,6 +210,75 @@ class TestCohomologicalSeries:
         ranks = Ranks(r1, r2)
         point = seeded_point(coh_variables(ranks), 8)
         assert coh_at(ranks, point, 4) == zcoh_closed(ranks, point, 4)
+
+
+# The closed sides as the paper states them, independent of ``single_box``.
+
+
+def closed_g(ranks, a, b):
+    """The single-box term without its ``(1 - t1 t2)`` factor at ``t1 = a``, ``t2 = b``."""
+    return (1 - a**ranks.r1 * b**ranks.r2) / ((1 - a) * (1 - b))
+
+
+def z_reference(ranks, point, order):
+    t1, t2 = point.value(T1), point.value(T2)
+    return plethystic_exp(lambda k: (1 - (t1 * t2) ** k) * closed_g(ranks, t1**k, t2**k), order)
+
+
+def zhat_reference(ranks, point, order):
+    """``q [t1 t2][t1^r1 t2^r2] / ([t1][t2])`` with ``[x] = x^(1/2) - x^(-1/2)``, ``t_i = u_i^2``."""
+    u1, u2 = point.value(u_var(1)), point.value(u_var(2))
+
+    def bracket(x):
+        return x - 1 / x
+
+    def f(k):
+        a, b = u1**k, u2**k
+        return bracket(a * b) * bracket(a**ranks.r1 * b**ranks.r2) / (bracket(a) * bracket(b))
+
+    return plethystic_exp(f, order)
+
+
+def zcoh_reference(ranks, point, order):
+    """``(1/(1-q))^c`` with ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``."""
+    s1, s2 = point.value(("s", 1)), point.value(("s", 2))
+    c = (s1 + s2) * (ranks.r1 * s1 + ranks.r2 * s2) / (s1 * s2)
+    return plethystic_exp(lambda k: c, order)
+
+
+class TestSingleBox:
+    @pytest.mark.parametrize("ranks", ranks_up_to(4), ids=lambda r: f"{r.r1},{r.r2}")
+    def test_closed_sides_equal_their_references(self, ranks):
+        """Every closed side read off the single box equals the formula the
+        paper states, at three seeded points of each kind, up to ``q^6``."""
+        for seed in (1, 2, 3):
+            point = seeded_point(ranks.variables(), seed)
+            assert z_closed(ranks, point, 6) == z_reference(ranks, point, 6)
+            point = seeded_point((u_var(1), u_var(2)) + ranks.w_vars(), seed)
+            assert zhat_closed(ranks, point, 6) == zhat_reference(ranks, point, 6)
+            point = seeded_point(coh_variables(ranks), seed)
+            assert zcoh_closed(ranks, point, 6) == zcoh_reference(ranks, point, 6)
+            rest = seeded_point((T2,) + ranks.w_vars(), seed)
+            t2 = rest.value(T2)
+            for n in range(1, 7):
+                assert cy_first_order_closed(ranks, n, rest) == closed_g(ranks, (1 / t2) ** n, t2**n)
+
+    def test_slot_shifts_telescope_to_the_framing_factor(self):
+        """``1 - t1^r1 t2^r2 = sum_a shift_a (1 - t_i)`` over the slots ``(i, a)``
+        and their :func:`~quotloc.limits.slot_shifts`, as characters, for every
+        rank pair of total rank <= 8: the factorization's q-shifts sum to the
+        box's framing factor, its factors other than ``1 - t1 t2``,
+        ``(1 - t1)^-1`` and ``(1 - t2)^-1``."""
+        one = Character.one()
+        t = {1: Monomial.var(T1), 2: Monomial.var(T2)}
+        rest = Character([(t[1] * t[2], 1), (t[1], -1), (t[2], -1)])
+        for ranks in ranks_up_to(8):
+            framing = Character.from_monomial(ranks.framing())
+            assert single_box(ranks.framing()).character - rest == framing, ranks
+            shifted = Character.zero()
+            for (i, _a), shift in zip(ranks.slots(), slot_shifts(ranks)):
+                shifted = shifted + (one - Character.from_monomial(t[i])) * shift
+            assert shifted == one - framing, ranks
 
 
 class TestEulerCharSeries:

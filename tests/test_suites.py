@@ -102,12 +102,13 @@ def test_limits_convergence_is_strict(monkeypatch):
 
 def test_limits_convergence_needs_the_expected_rate(monkeypatch):
     """A block whose gap shrinks only at the rate of the two slowest slots,
-    ``big^-(8 - 1)``, converges too slowly for every other slot pair."""
+    ``big^-(2 - 1)``, converges too slowly for every slot pair of another rate:
+    the three pairs that are not adjacent."""
     slowest = Monomial([(w_var(1, 1), -1), (w_var(1, 2), 1)])
     monkeypatch.setattr(series, "vertex_block", lambda *args: Character.from_monomial(slowest))
     report = SuiteReport()
     _limits_numeric_convergence(report, Ranks(2, 2), 1)
-    assert report.checks == 6 and len(report.failures) == 5
+    assert report.checks == 6 and len(report.failures) == 3
     assert all("no convergence" in f for f in report.failures)
 
 
