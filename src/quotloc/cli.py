@@ -93,10 +93,9 @@ def compute_points(ranks=Ranks(1, 0), order=6, num_points=1, seed=1) -> list:
     stream = rational_stream(seed)
     point_blocks = []
     for index in range(1, num_points + 1):
-        point, localized = retry_points(
-            ranks.variables(), stream, lambda p: eval_forms(forms, p)
+        point, (localized, closed) = retry_points(
+            ranks.variables(), stream, lambda p: (eval_forms(forms, p), z_closed(ranks, p, order))
         )
-        closed = z_closed(ranks, point, order)
         point_blocks.append(
             (
                 f"point {index}",

@@ -144,8 +144,8 @@ def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
     weights ``t_i^-1 w t1^x t2^y``, ``w = w_a^-1 w_b``, one per box ``(x, y)`` of
     ``lam_b``.  Off the diagonal ``w != 1``, so none is trivial; on it ``w = 1``, and
     ``(a, a, lam, lam)`` is ``None`` exactly when ``lam`` holds the box ``t_i``.  So
-    :meth:`BlockTable.walk`, reading diagonals first, builds no cross block of a
-    killed tuple, and the survivors of degree ``n`` are the ``C(n + r - 1, r - 1)``
+    the table's :attr:`~BlockTable.tree`, reading diagonals first, builds no cross
+    block of a killed tuple, and its leaves of degree ``n`` are the ``C(n + r - 1, r - 1)``
     tuples of a column per line-1 slot and a row per line-2 slot."""
     slots = ranks.slots()
 
@@ -171,6 +171,9 @@ def block_invariants(key) -> tuple:
 
 def plane_invariants(table: BlockTable):
     """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every
-    diagram tuple of an :func:`oracle_forms` table, folded over its blocks (all add)."""
+    diagram tuple of an :func:`oracle_forms` table, the zero class included: a fold of
+    the table of the same slots, order and states whose block is
+    :func:`block_invariants`, never ``None`` (all three add)."""
+    invariants = BlockTable(table.slots, table.order, table.states, lambda *key: block_invariants(key))
     add = lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-    return table.fold(block_invariants, add, (0, 0, 0))
+    return invariants.fold(lambda key: invariants.weights[key], add, (0, 0, 0))

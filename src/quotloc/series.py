@@ -21,7 +21,6 @@ from .chars import (
     Monomial,
     k_euler,
     pair_value,
-    t_var,
     u_var,
 )
 from .points import PointAssignment
@@ -69,24 +68,6 @@ class QSeries:
                 out[i + j] = out[i + j] + a * b
         return QSeries(out)
 
-    def exp(self) -> "QSeries":
-        """Series exponential; requires vanishing constant term.
-
-        Uses the derivative recurrence ``n e_n = sum_k k a_k e_(n-k)``.
-        """
-        if self._coeffs[0]:
-            raise ValueError("exp needs a vanishing constant term")
-        n = self.order
-        e = [RAT_ONE] + [RAT_ZERO] * n
-        for m in range(1, n + 1):
-            acc = RAT_ZERO
-            for k in range(1, m + 1):
-                a = self._coeffs[k]
-                if a:
-                    acc = acc + k * a * e[m - k]
-            e[m] = acc / m
-        return QSeries(e)
-
     def scale_q(self, factor) -> "QSeries":
         """Substitute ``q -> factor * q``: coefficient ``n`` picks ``factor^n``."""
         out = []
@@ -113,12 +94,14 @@ def plethystic_exp(f_eval: Callable[[int], object], order: int) -> QSeries:
     ``order``.
 
     ``f_eval(k)`` must return the exact value of the single-box term with
-    every variable raised to the ``k``-th power.
+    every variable raised to the ``k``-th power.  The coefficients follow the
+    derivative recurrence ``n e_n = sum_k f(k) e_(n-k)``.
     """
-    log_coeffs = [RAT_ZERO]
-    for k in range(1, order + 1):
-        log_coeffs.append(f_eval(k) / rational(k))
-    return QSeries(log_coeffs).exp()
+    f = [None] + [f_eval(k) for k in range(1, order + 1)]
+    e = [RAT_ONE]
+    for n in range(1, order + 1):
+        e.append(sum((f[k] * e[n - k] for k in range(1, n + 1) if f[k]), RAT_ZERO) / n)
+    return QSeries(e)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +129,9 @@ class BlockTable:
     size ``n``).  Its tangent character is the sum of its blocks and the
     Euler operator is multiplicative, so its weight is the product over
     ordered slot pairs of ``block(a, b, state_a, state_b)``, which is ``None``
-    for the zero class.  Block weights are built once per table, and so is the
-    plan that :meth:`pairs` evaluates at every point.
+    for the zero class.  Block weights are built once per table, and so are
+    the :attr:`tree` of the fixed points, which every :meth:`fold` and every
+    point (:meth:`pairs`) replays, and the :attr:`plan` of its blocks.
     """
 
     def __init__(self, slots: int, order: int, states, block):
@@ -160,20 +144,22 @@ class BlockTable:
             self.weights[key] = self.block(*key)
         return self.weights[key]
 
-    def walk(self, value):
-        """Yield the prefix tree of the fixed points up to the order with no block of value
-        ``None``, depth first, as nodes ``(k, values, size, state)``: ``state`` on slot ``k``
-        below the last node of depth ``k - 1``, the ``value(key)`` of the ``2k + 1`` blocks it
-        adds, and on the last slot the leaf's size, else ``None``.  Sorted stably by size, the
-        leaves come in :func:`~quotloc.vertex.slot_states` order.  A state's blocks are read
-        diagonal ``(k, k, s, s)`` first, the first ``None`` prunes its branch before any later
-        block is read, and ``value(key)`` is called at most once per block key per call."""
-        values = {}
+    @functools.cached_property
+    def tree(self):
+        """``(keys, nodes)``: the prefix tree of the fixed points up to the order with no
+        ``None`` weight, depth first, one node ``(k, indices, size, state)`` per prefix right
+        before its subtree: ``state`` on slot ``k``, the indices into ``keys`` of the ``2k + 1``
+        blocks it adds, and on the last slot the leaf's size, else ``None``.  ``keys`` lists the
+        distinct block keys with a weight that the walk read, in reading order.  Sorted stably
+        by size, the leaves come in :func:`~quotloc.vertex.slot_states` order.  A state's blocks
+        are read diagonal ``(k, k, s, s)`` first, and the first ``None`` weight prunes its
+        branch before any later block is built: the table's weights are its one pruning policy."""
+        index, nodes = {}, []
         stack = [((), 0, None)]  # (states of the first slots, their size, their last node)
         while stack:
             states, size, node = stack.pop()
             if node:
-                yield node
+                nodes.append(node)
             k = len(states)
             last = k + 1 == self.slots  # pushed reversed, the states of a size pop in order
             for m in range(self.order - size + 1):
@@ -181,25 +167,26 @@ class BlockTable:
                     keys = [(k, k, s, s)]
                     for j, s_j in enumerate(states):
                         keys += [(j, k, s_j, s), (k, j, s, s_j)]
-                    blocks = []
+                    indices = []
                     for key in keys:
-                        if key not in values:
-                            values[key] = value(key)
-                        if values[key] is None:
-                            break
-                        blocks.append(values[key])
+                        if key not in index:
+                            if self.weight(*key) is None:
+                                break
+                            index[key] = len(index)
+                        indices.append(index[key])
                     else:
                         if last:
-                            yield k, tuple(blocks), size + m, s
+                            nodes.append((k, tuple(indices), size + m, s))
                         else:
-                            stack.append((states + (s,), size + m, (k, tuple(blocks), None, s)))
+                            stack.append((states + (s,), size + m, (k, tuple(indices), None, s)))
+        return list(index), nodes
 
-    def _leaves(self, nodes, step, start):
-        """Yield ``(states, size, acc)`` per leaf of the :meth:`walk` ``nodes``: ``acc`` is
-        ``start`` taken through ``acc = step(values, acc)`` along its path, kept per slot."""
+    def _leaves(self, step, start):
+        """Yield ``(states, size, acc)`` per leaf of the :attr:`tree`, in its order: ``acc``
+        is ``start`` taken through ``acc = step(indices, acc)`` along its path, kept per slot."""
         prefix, path = [start] * (self.slots + 1), [None] * self.slots
-        for k, values, size, state in nodes:
-            acc = step(values, prefix[k])
+        for k, indices, size, state in self.tree[1]:
+            acc = step(indices, prefix[k])
             path[k] = state
             if size is None:
                 prefix[k + 1] = acc
@@ -207,32 +194,27 @@ class BlockTable:
                 yield tuple(path), size, acc
 
     def fold(self, value, combine, start):
-        """Yield ``(states, size, acc)`` for every leaf of :meth:`walk`, in its order; ``acc``
-        combines ``start`` with the fixed point's block values, slot by slot."""
-        return self._leaves(self.walk(value), functools.partial(functools.reduce, combine), start)
+        """Yield ``(states, size, acc)`` per leaf of the :attr:`tree`, in its order; ``acc``
+        combines ``start`` with the fixed point's block values ``value(key)``, slot by slot.
+        ``value`` is called once per key of the tree and never prunes."""
+        values = [value(key) for key in self.tree[0]]
+        step = lambda indices, acc: functools.reduce(combine, map(values.__getitem__, indices), acc)
+        return self._leaves(step, start)
 
     @functools.cached_property
     def plan(self):
-        """``(sources, blocks, nodes)``: ``nodes`` is the :meth:`walk` whose ``value`` numbers
-        the blocks read (``None``: the zero class), and ``blocks[i]`` is block ``i``'s
-        ``atoms`` (see :class:`_Sources`)."""
-        sources, blocks = _Sources(), []
-
-        def index(key):
-            w = self.weight(*key)
-            if w is not None:
-                blocks.append(w.atoms(sources))
-                return len(blocks) - 1
-
-        nodes = list(self.walk(index))
-        return list(sources), blocks, nodes
+        """``(sources, blocks)``: ``blocks[i]`` is the ``atoms`` of the weight of the
+        :attr:`tree`'s key ``i``, read from ``sources`` (see :class:`_Sources`)."""
+        sources = _Sources()
+        blocks = [self.weight(*key).atoms(sources) for key in self.tree[0]]
+        return list(sources), blocks
 
     def pairs(self, point):
         """Yield ``(states, size, (n, d))`` per leaf of :meth:`fold`, in its order,
         ``(n, d)`` integer by integer that of a fold of ``eval_pair`` values by pair
         products.  Each source of the :attr:`plan` is read once and each block pair
         formed once."""
-        sources, blocks, nodes = self.plan
+        sources, blocks = self.plan
         atoms = []
         for m, limit in sources:
             atoms += point.monomial_pair(m) if limit else point.factor(m)
@@ -246,7 +228,7 @@ class BlockTable:
                 d *= dens[i]
             return n, d
 
-        return self._leaves(nodes, step, (1, 1))
+        return self._leaves(step, (1, 1))
 
 
 def line_table(ranks: Ranks, order: int, weight) -> BlockTable:
@@ -276,7 +258,7 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
 
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
     """Evaluate a block table at one point and sum each degree over
-    :meth:`BlockTable.pairs`, whose plan one walk builds on the first call.
+    :meth:`BlockTable.pairs`, which replays the table's tree on its plan.
     Each leaf is normalised once by :func:`~quotloc.chars.pair_value`, which
     raises :class:`~quotloc.chars.PoleAtPoint` exactly when a leaf has ``d ==
     0``: its zeros and poles are the merged weight's (see :func:`line_table`)."""
@@ -302,21 +284,12 @@ def z_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
 
 
 def z_rank1_product(point: PointAssignment, order: int) -> QSeries:
-    """Rank-one series by the product formula: coefficient ``n`` is
-    ``prod_(a=1..n) (1 - t1 t2^a)/(1 - t2^a)``."""
-    t1 = point.value(t_var(1))
-    t2 = point.value(t_var(2))
-    coeffs = [RAT_ONE]
-    value = RAT_ONE
-    power = RAT_ONE
-    for a in range(1, order + 1):
-        power = power * t2
-        den = 1 - power
-        if not den:
-            raise ZeroDivisionError("t2 is a root of unity")
-        value = value * (1 - t1 * power) / den
-        coeffs.append(value)
-    return QSeries(coeffs)
+    """Rank-one series by the product formula: coefficient ``n`` is the
+    :class:`~quotloc.chars.FactoredForm` ``prod_(a=1..n) (1 - t1 t2^a)/(1 - t2^a)``
+    at ``point``, so a vanishing denominator raises :class:`~quotloc.chars.PoleAtPoint`."""
+    t1, t2 = Monomial.var(T1), Monomial.var(T2)
+    factors = [[(t1 * t2**a, 1), (t2**a, -1)] for a in range(1, order + 1)]
+    return QSeries(FactoredForm(sum(factors[:n], [])).eval_point(point) for n in range(order + 1))
 
 
 # ---------------------------------------------------------------------------

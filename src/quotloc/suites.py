@@ -323,7 +323,7 @@ def suite_no_twist(
     report = SuiteReport()
     for ranks in det_ranks:
         table = line_table(ranks, det_len, lambda block: block)
-        block_det = lambda key: table.block(*key).det()  # blocks are not kept
+        block_det = lambda key: table.weight(*key).det()
         for lengths, n, got in by_degree(table.fold(block_det, operator.mul, Monomial.one())):
             expected = ranks.framing() ** n
             report.check(

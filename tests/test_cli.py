@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quotloc
-from quotloc.chars import T1, T2
+from quotloc.chars import T1, T2, PoleAtPoint
 from quotloc.cli import (
     EXIT_IO,
     EXIT_PASS,
@@ -18,15 +18,18 @@ from quotloc.cli import (
     EXIT_USAGE,
     FLAG_KEYWORDS,
     MAX_FIXED_POINTS,
+    _point_tree,
     _validate,
+    compute_points,
     fixed_point_count,
     build_parser,
     main,
     suite_kwargs,
 )
-from quotloc.points import seeded_point
+from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rat_str
 from quotloc.oracle import partition_tuples
+from quotloc.series import z_closed
 from quotloc.suites import CLI_SUITES, ranks_up_to
 from quotloc.vertex import Ranks
 
@@ -61,6 +64,25 @@ class TestCompute:
         code, out, _ = run_cli(argv + ["--seed", str(seed)], capsys)
         assert code == EXIT_PASS
         assert out == (GOLDEN / f"compute_seed{seed}.txt").read_text()
+
+    def test_closed_side_pole_redraws_the_point(self, monkeypatch):
+        """A pole on the closed side redraws the point, as one on the localized side
+        does: both are evaluated inside the one retry."""
+        ranks, drawn = Ranks(1, 1), []
+
+        def closed(ranks, point, order):
+            drawn.append(point)
+            if len(drawn) == 1:
+                raise PoleAtPoint("closed side")
+            return z_closed(ranks, point, order)
+
+        monkeypatch.setattr(quotloc.cli, "z_closed", closed)
+        (label, fields), = compute_points(ranks, order=2, num_points=1, seed=3)
+        stream = rational_stream(3)
+        points = [draw_point(ranks.variables(), stream) for _ in range(2)]
+        assert list(map(repr, drawn)) == list(map(repr, points)) and len(set(map(repr, points))) == 2
+        assert dict(fields)["assignment"] == _point_tree(points[1])
+        assert dict(fields)["localized"] == dict(fields)["closed-form"]
 
     def test_order_zero(self, capsys):
         code, out, _ = run_cli(["compute", "--r1", "0", "--r2", "1", "--order", "0"], capsys)

@@ -13,6 +13,7 @@ coordinates (``fraction_eval``), not through the integer pairs of
 ``eval_pair``, and a property test holds ``eval_point`` to that evaluator.
 """
 
+import functools
 import math
 import operator
 import random
@@ -45,6 +46,7 @@ from quotloc.oracle import (
 from quotloc.points import LinearPoint, PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import (
+    BlockTable,
     DiagonalPoint,
     QSeries,
     coh_variables,
@@ -56,8 +58,8 @@ from quotloc.series import (
     localized_forms,
     twisted_point,
 )
-from quotloc.suites import ranks_up_to
-from quotloc.vertex import Ranks, contribution, fixed_points, vertex_term
+from quotloc.suites import ranks_up_to, suite_cy_vanishing
+from quotloc.vertex import Ranks, contribution, fixed_points, line_states, vertex_term
 
 from strategies import VARS, monomials, nonzero_rationals
 
@@ -308,21 +310,56 @@ def folded_once(table, value, combine, start, items):
     return {states: acc for states, _, acc in folded}
 
 
+def column_or_row(ranks, diagrams):
+    """Whether a diagram tuple survives an oracle table: a column on each line-1 slot
+    and a row on each line-2 slot (the ``oracle_forms`` docstring)."""
+    return all(
+        (not lam or lam[0] == 1) if i == 1 else len(lam) <= 1 for (i, _), lam in zip(ranks.slots(), diagrams)
+    )
+
+
 @pytest.mark.parametrize("kind", ["line", "limit", "oracle"])
 def test_fold_yields_each_degree_in_reference_order(kind):
-    """Sorted stably by degree, the fold's leaves are ``fixed_points`` or
-    ``partition_tuples`` in order: line and limit tables of total rank <= 4
-    and oracle tables of total rank <= 3, up to order 5.  The symbolic
-    suites report failures in this order."""
+    """Sorted stably by degree, the fold's leaves are ``fixed_points`` or the surviving
+    ``partition_tuples`` in order: line and limit tables of total rank <= 4 and oracle
+    tables of total rank <= 3, up to order 5.  The fold's ``value`` never returns ``None``,
+    so an oracle fold yields the tuples its weights allow, ``C(n + r - 1, r - 1)`` of degree
+    ``n``.  The symbolic suites report failures in this order."""
     build, total = {
         "line": (localized_forms, 4), "limit": (limit_table, 4), "oracle": (oracle_forms, 3)
     }[kind]
     for ranks in ranks_up_to(total):
         if kind == "oracle":
-            items = lambda n: [tup.diagrams for tup in partition_tuples(ranks, n)]
+            items = lambda n: [
+                tup.diagrams for tup in partition_tuples(ranks, n) if column_or_row(ranks, tup.diagrams)
+            ]
+            r = ranks.total
+            assert [len(items(n)) for n in range(6)] == [math.comb(n + r - 1, r - 1) for n in range(6)]
         else:
             items = lambda n: [bn.lengths for bn in fixed_points(ranks, n)]
         folded_once(build(ranks, 5), lambda key: 1, operator.add, 0, items)
+
+
+@pytest.mark.parametrize("order", [0, 3, 5])
+def test_fold_prunes_only_at_a_none_weight(order):
+    """A table whose weights are ``None`` off the diagonal wherever two slots hold the
+    same nonzero length: its fold, with a ``value`` that is never ``None``, yields exactly
+    the fixed points all of whose blocks have a weight, in ``slot_states`` order; each
+    block is built once, and every key of the tree has a weight."""
+    ranks = Ranks(2, 1)
+    read = []
+
+    def block(a, b, m_a, m_b):
+        read.append((a, b, m_a, m_b))
+        return None if a != b and m_a == m_b > 0 else (a, b)
+
+    table = BlockTable(ranks.total, order, line_states, block)
+    alive = lambda lengths: len({m for m in lengths if m}) == sum(1 for m in lengths if m)
+    items = lambda n: [bn.lengths for bn in fixed_points(ranks, n) if alive(bn.lengths)]
+    folded = folded_once(table, lambda key: 1, operator.add, 0, items)
+    assert set(folded.values()) == {ranks.total**2}
+    assert len(read) == len(set(read)) == len(table.weights)
+    assert all(table.weights[key] is not None for key in table.tree[0])
 
 
 def pair_product(x, y):
@@ -371,11 +408,12 @@ def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
     assert [at for at, n in poles.items() if n] == ([] if kind == "limit" else ["coincident"])
 
 
-def test_plan_holds_the_pruned_prefix_tree_depth_first():
-    """The plan's nodes are the distinct prefixes of the surviving fixed points, one
+def test_tree_is_the_pruned_prefix_tree_depth_first():
+    """The tree's nodes are the distinct prefixes of the surviving fixed points, one
     node each, each right before the nodes of its subtree, and a leaf node carries its
-    size: line tables of total rank <= 4 at order 5, and oracle tables of total rank
-    <= 3 at order 4, whose diagonal zero class prunes tuples."""
+    size; its keys are distinct, and every key is some node's, since the only ``None``
+    blocks are diagonal and read first: line tables of total rank <= 4 at order 5, and
+    oracle tables of total rank <= 3 at order 4, whose diagonal zero class prunes tuples."""
     cases = [
         (localized_forms(ranks, 5), {bn.lengths: n for n in range(6) for bn in fixed_points(ranks, n)})
         for ranks in ranks_up_to(4)
@@ -386,12 +424,16 @@ def test_plan_holds_the_pruned_prefix_tree_depth_first():
         sizes = {tup.diagrams: n for n in range(5) for tup in partition_tuples(ranks, n) if alive(tup)}
         cases.append((table, sizes))
     for table, sizes in cases:
-        prefixes, path = [], ()
-        for k, indices, size, state in table.plan[2]:
+        keys, nodes = table.tree
+        prefixes, path, indexed = [], (), set()
+        for k, indices, size, state in nodes:
             assert k <= len(path) and len(indices) == 2 * k + 1
             path = path[:k] + (state,)
             prefixes.append(path)
             assert size == sizes.get(path), path
+            assert keys[indices[0]] == (k, k, state, state)
+            indexed.update(indices)
+        assert len(keys) == len(set(keys)) and indexed == set(range(len(keys)))
         want = {leaf[:k] for leaf in sizes for k in range(1, table.slots + 1)}
         assert len(prefixes) == len(set(prefixes)) and set(prefixes) == want
         below = Counter(p[:k] for p in prefixes for k in range(1, len(p)))
@@ -405,20 +447,42 @@ def block_orders(table):
     return {states: o for states, _, o in table.fold(order, operator.add, 0)}
 
 
-def test_table_is_compiled_once():
-    """Three ``eval_forms`` calls and one ``cy_first_order`` call on one table run
-    ``table.walk`` once, and give what a fresh table gives."""
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The tables whose :attr:`BlockTable.tree` is built, one entry per build."""
+    built, tree = [], BlockTable.tree.func
+
+    def counted(table):
+        built.append(table)
+        return tree(table)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(BlockTable, "tree")
+    monkeypatch.setattr(BlockTable, "tree", prop)
+    return built
+
+
+def test_table_is_compiled_once(tree_builds):
+    """A fold, three ``eval_forms`` calls and one ``cy_first_order`` call on one table
+    build ``table.tree`` once, and give what a fresh table gives."""
     ranks = Ranks(2, 1)
     table, fresh = localized_forms(ranks, 4), localized_forms(ranks, 4)
-    orders = block_orders(fresh)
-    walk, calls = table.walk, []
-    table.walk = lambda *args: calls.append(args) or walk(*args)
+    orders = block_orders(table)
+    assert orders == block_orders(fresh)
     for seed in (1, 2, 3):
         point = seeded_point(ranks.variables(), seed)
         assert eval_forms(table, point) == eval_forms(fresh, point)
     rest = seeded_point((T2,) + ranks.w_vars(), 4)
     assert cy_first_order(table, orders, rest) == cy_first_order(fresh, orders, rest)
-    assert len(calls) == 1
+    assert tree_builds.count(table) == 1
+
+
+def test_cy_vanishing_walks_each_table_once(tree_builds):
+    """A ``cy-vanishing`` run builds one tree per rank pair: its fold of the vanishing
+    orders and its first-order sums at every seed replay it."""
+    ranks_list = ranks_up_to(2)
+    assert suite_cy_vanishing(ranks_list=ranks_list, max_len=3, num_seeds=2).passed
+    assert len(tree_builds) == len(set(map(id, tree_builds))) == len(ranks_list)
 
 
 @pytest.mark.parametrize("ranks", [Ranks(2, 0), Ranks(2, 1), Ranks(3, 0)], ids=str)

@@ -267,27 +267,27 @@ class TestZeroClass:
     @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
     def test_eval_builds_only_blocks_of_surviving_tuples(self, ranks):
         """After one evaluation the non-``None`` weights built are exactly the blocks
-        of the tuples the walk yields, and ``value`` is called at most once per key."""
+        of the tuples the tree yields, which are the tree's keys, each listed once."""
         table = oracle_forms(ranks, 5)
-        walk, survivors = table.walk, []
-
-        def spy(value):
-            calls, path = Counter(), [None] * ranks.total
-
-            def counted(key):
-                calls[key] += 1
-                return value(key)
-
-            for node in walk(counted):
-                k, _, size, state = node
-                path[k] = state
-                if size is not None:
-                    survivors.append(tuple(path))
-                yield node
-            assert max(calls.values()) == 1
-
-        table.walk = spy
         eval_forms(table, seeded_point(ranks.variables(), 5))
+        keys, nodes = table.tree
+        path, survivors = [None] * ranks.total, []
+        for k, _, size, state in nodes:
+            path[k] = state
+            if size is not None:
+                survivors.append(tuple(path))
         built = {key for key, w in table.weights.items() if w is not None}
         r = range(ranks.total)
         assert built == {(a, b, tup[a], tup[b]) for tup in survivors for a in r for b in r}
+        assert len(keys) == len(set(keys)) and set(keys) == built
+
+    @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
+    def test_plane_invariants_yield_every_tuple(self, ranks):
+        """``plane_invariants`` reads no table weight and yields every diagram tuple,
+        the zero class included, sorted stably by size in ``partition_tuples`` order."""
+        table = oracle_forms(ranks, 4)
+        leaves = sorted(plane_invariants(table), key=lambda leaf: leaf[1])
+        assert [(n, d) for d, n, _ in leaves] == [
+            (n, tup.diagrams) for n in range(5) for tup in partition_tuples(ranks, n)
+        ]
+        assert not table.weights

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotloc.chars import Character, FactoredForm, Monomial, T1, T2, pair_value, u_var
+from quotloc.chars import Character, FactoredForm, Monomial, PoleAtPoint, T1, T2, pair_value, u_var
 from quotloc.limits import limit_table, slot_shifts
 from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
@@ -69,13 +69,8 @@ class TestQSeries:
         assert (a * b).coefficients == (1, 3, 6)
 
     def test_exp_of_geometric_log(self):
-        # exp(sum q^k/k) = 1/(1-q)
-        s = QSeries([rational(0)] + [rational(1, k) for k in range(1, 7)])
-        assert s.exp().coefficients == tuple(rational(1) for _ in range(7))
-
-    def test_exp_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            QSeries([1, 2]).exp()
+        # the plethystic exponential of f = 1 is exp(sum q^k/k) = 1/(1-q)
+        assert plethystic_exp(lambda k: rational(1), 6).coefficients == tuple(rational(1) for _ in range(7))
 
     def test_scale_q(self):
         s = QSeries([1, 1, 1]).scale_q(rational(3))
@@ -171,6 +166,13 @@ class TestRank1Product:
     def test_matches_closed_form(self):
         point = t_point(seed=6)
         assert z_rank1_product(point, 8) == z_closed(Ranks(1, 0), point, 8)
+
+    @pytest.mark.parametrize("t2", [1, -1])
+    def test_pole_raises_pole_at_point(self, t2):
+        """``1 - t2^a`` vanishes at ``t2 = 1`` (``a = 1``) and ``t2 = -1`` (``a = 2``): the
+        one pole the retry protocol catches."""
+        with pytest.raises(PoleAtPoint):
+            z_rank1_product(t_point(t1=2, t2=t2), 2)
 
 
 class TestTwistedSeries:
