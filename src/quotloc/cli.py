@@ -32,7 +32,7 @@ from .chars import var_name
 from .points import PointExhausted, rational_stream, retry_points
 from .rational import rat_str
 from .series import eval_forms, localized_forms, z_closed
-from .suites import CLI_SUITES, SuiteReport
+from .suites import CLI_SUITES, SHIFT_RANKS, SuiteReport
 from .vertex import Ranks
 
 EXIT_PASS = 0
@@ -93,25 +93,14 @@ def compute_points(ranks=Ranks(1, 0), order=6, num_points=1, seed=1) -> list:
     stream = rational_stream(seed)
     point_blocks = []
     for index in range(1, num_points + 1):
-        point, (localized, closed) = retry_points(
+        point, sides = retry_points(
             ranks.variables(), stream, lambda p: (eval_forms(forms, p), z_closed(ranks, p, order))
         )
-        point_blocks.append(
-            (
-                f"point {index}",
-                [
-                    ("assignment", _point_tree(point)),
-                    (
-                        "localized",
-                        [(f"q^{n}", rat_str(c)) for n, c in enumerate(localized.coefficients)],
-                    ),
-                    (
-                        "closed-form",
-                        [(f"q^{n}", rat_str(c)) for n, c in enumerate(closed.coefficients)],
-                    ),
-                ],
-            )
-        )
+        coefficients = [
+            (side, [(f"q^{n}", rat_str(c)) for n, c in enumerate(series.coefficients)])
+            for side, series in zip(("localized", "closed-form"), sides)
+        ]
+        point_blocks.append((f"point {index}", [("assignment", _point_tree(point))] + coefficients))
     return point_blocks
 
 
@@ -225,9 +214,9 @@ def _validate(parser, args) -> None:
     bound.apply_defaults()  # size budget: the largest order n and total rank r the run asks for
     given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]
     pairs = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
+    if suite == "limits":  # its q-shift bookkeeping runs every rank pair of SHIFT_RANKS
+        pairs += SHIFT_RANKS
     n, r = max(given("order"), default=0), max((p.total for p in pairs), default=0)
-    if suite == "limits":  # its q-shift bookkeeping runs every rank pair up to total rank 4
-        r = max(r, 4)
     if fixed_point_count(suite, n, r) > MAX_FIXED_POINTS:
         parser.error(f"order {n} at total rank {r} exceeds the size budget of {MAX_FIXED_POINTS} fixed points")
 

@@ -170,10 +170,11 @@ def block_invariants(key) -> tuple:
 
 
 def plane_invariants(table: BlockTable):
-    """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every
-    diagram tuple of an :func:`oracle_forms` table, the zero class included: a fold of
-    the table of the same slots, order and states whose block is
-    :func:`block_invariants`, never ``None`` (all three add)."""
-    invariants = BlockTable(table.slots, table.order, table.states, lambda *key: block_invariants(key))
-    add = lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-    return invariants.fold(lambda key: invariants.weights[key], add, (0, 0, 0))
+    """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every diagram
+    tuple of an :func:`oracle_forms` table's slots, order and states, the zero class included,
+    in :meth:`~BlockTable.fold` order: :func:`block_invariants` summed over its slot pairs."""
+    pairs = [(a, b) for a in range(table.slots) for b in range(table.slots)]
+    for n in range(table.order + 1):
+        for lams in slot_states(table.slots, n, table.states):
+            blocks = [block_invariants((a, b, lams[a], lams[b])) for a, b in pairs]
+            yield lams, n, tuple(map(sum, zip(*blocks)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, Iterable
 
 from .chars import (
@@ -150,10 +151,10 @@ class BlockTable:
         ``None`` weight, depth first, one node ``(k, indices, size, state)`` per prefix right
         before its subtree: ``state`` on slot ``k``, the indices into ``keys`` of the ``2k + 1``
         blocks it adds, and on the last slot the leaf's size, else ``None``.  ``keys`` lists the
-        distinct block keys with a weight that the walk read, in reading order.  Sorted stably
-        by size, the leaves come in :func:`~quotloc.vertex.slot_states` order.  A state's blocks
-        are read diagonal ``(k, k, s, s)`` first, and the first ``None`` weight prunes its
-        branch before any later block is built: the table's weights are its one pruning policy."""
+        distinct block keys with a weight that the walk read, in reading order.  Each slot but the
+        last is walked by size descending, so each size's leaves come in ``slot_states`` order.
+        A state's blocks are read diagonal ``(k, k, s, s)`` first, and the first ``None`` weight
+        prunes its branch before any later block is built: the weights are the one pruning policy."""
         index, nodes = {}, []
         stack = [((), 0, None)]  # (states of the first slots, their size, their last node)
         while stack:
@@ -194,12 +195,12 @@ class BlockTable:
                 yield tuple(path), size, acc
 
     def fold(self, value, combine, start):
-        """Yield ``(states, size, acc)`` per leaf of the :attr:`tree`, in its order; ``acc``
-        combines ``start`` with the fixed point's block values ``value(key)``, slot by slot.
-        ``value`` is called once per key of the tree and never prunes."""
-        values = [value(key) for key in self.tree[0]]
+        """``(states, size, acc)`` per leaf of the :attr:`tree`, degree by degree in
+        :func:`~quotloc.vertex.slot_states` order; ``acc`` combines ``start`` with ``value(w)``
+        of the fixed point's block weights ``w``, called once per weight of the tree."""
+        values = [value(self.weights[key]) for key in self.tree[0]]
         step = lambda indices, acc: functools.reduce(combine, map(values.__getitem__, indices), acc)
-        return self._leaves(step, start)
+        return sorted(self._leaves(step, start), key=operator.itemgetter(1))
 
     @functools.cached_property
     def plan(self):
@@ -210,8 +211,8 @@ class BlockTable:
         return list(sources), blocks
 
     def pairs(self, point):
-        """Yield ``(states, size, (n, d))`` per leaf of :meth:`fold`, in its order,
-        ``(n, d)`` integer by integer that of a fold of ``eval_pair`` values by pair
+        """Yield ``(states, size, (n, d))`` per leaf of the :attr:`tree`, in its order,
+        ``(n, d)`` integer by integer that of a :meth:`fold` of ``eval_pair`` values by pair
         products.  Each source of the :attr:`plan` is read once and each block pair
         formed once."""
         sources, blocks = self.plan

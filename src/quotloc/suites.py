@@ -76,6 +76,9 @@ def ranks_up_to(total: int) -> tuple:
     return tuple(out)
 
 
+SHIFT_RANKS = ranks_up_to(4)  # the rank pairs of the limits suite's q-shift bookkeeping
+
+
 @dataclass
 class SuiteReport:
     """Outcome of one verification suite."""
@@ -92,12 +95,6 @@ class SuiteReport:
         self.checks += 1
         if not ok:
             self.failures.append(describe())
-
-
-def by_degree(leaves) -> list:
-    """The ``(states, size, acc)`` leaves of a :meth:`~quotloc.series.BlockTable.fold`,
-    stably sorted by size: each degree's fixed points in ``slot_states`` order."""
-    return sorted(leaves, key=operator.itemgetter(1))
 
 
 def _first_mismatch(lhs: QSeries, rhs: QSeries):
@@ -228,7 +225,7 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
                         back == expected,
                         lambda: f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",
                     )
-    for other in ranks_up_to(4):
+    for other in SHIFT_RANKS:
         shifts = slot_shifts(other)
         for n in range(max_len + 1):
             for bn in fixed_points(other, n):
@@ -246,13 +243,19 @@ def _pair_point(ranks, lengths: dict) -> FixedPoint:
 
 
 def _limits_numeric_convergence(report, ranks, seed):
-    """Evaluating at concrete hierarchical speeds approaches the limit: slot
-    ``k`` moves as ``big^(k + 1)``, so raising ``big`` from ``10^3`` to ``10^6``
-    must shrink the gap by ``10^(3 (hi - lo))``, up to one decimal.  Any strictly
-    increasing speeds realise the speed order here: a cross block holds the framing
-    variables only as ``w_hi^-1 w_lo`` or its inverse (see ``framing_limit``)."""
+    """Evaluating at hierarchical speeds approaches the limit: slot ``k`` moves as ``big^(k + 1)``,
+    so raising ``big`` from ``B = 10^3 H^4``, ``H`` the largest numerator or denominator of ``t1, t2``,
+    to ``10^3 B`` must shrink the gap of block ``(hi, lo)`` at lengths ``(3, 2)`` by ``10^(3 d)``,
+    ``d = hi - lo``, up to one decimal.  Proof: the block is ``e C``, ``e = w_hi^-1 w_lo = big^-d``,
+    with ``C = s^-3 (t - t^-1)`` across lines and ``(s^-3 + s^-2)(1 - t^-1)`` on one line, ``t = t_i``
+    on the line ``i`` of ``hi`` and ``s`` the other ``t``.  Its weight is ``t^2 prod (1 - e m)^-c``
+    over the terms ``c m`` of ``C``, that is ``t^2 (1 + e C (1 - e b) / prod_(c > 0) (1 - e m))``
+    with ``b = 0`` across lines and ``s^-2 (1 + t^-1) / (1 + s)`` on one.  The stream draws positive
+    ``t_i != 1``: ``C != 0``, ``H >= 2`` and ``m, b <= H^4``, so ``e m`` and ``e b`` lie in ``(0,
+    10^-3]``, no factor vanishes, and the gap falls by at least ``10^(3 d) (1 - 10^-3)``."""
     stream = rational_stream(seed)
     t_point = draw_point((T1, T2), stream)
+    height = max(max(x.numerator, x.denominator) for x in (t_point.value(T1), t_point.value(T2)))
     slots = ranks.slots()
     forms, limits = localized_forms(ranks, 3), limit_table(ranks, 3)
     for lo in range(len(slots)):
@@ -262,7 +265,7 @@ def _limits_numeric_convergence(report, ranks, seed):
             form = forms.weight(hi, lo, 3, 2)
             limit_value = limits.weight(hi, lo, 3, 2).eval_point(t_point)
             gaps = []
-            for big in (10**3, 10**6):
+            for big in (10**3 * height**4, 10**6 * height**4):
                 w = {v: rational(big) ** (k + 1) for k, v in enumerate(ranks.w_vars())}
                 gaps.append(abs(form.eval_point(t_point.with_values(w)) - limit_value))
             report.check(
@@ -279,7 +282,7 @@ def suite_oracle(ranks_list=ranks_up_to(3), order=4, num_points=3, seed=1):
     report = SuiteReport()
     for ranks in ranks_list:
         plane = oracle_forms(ranks, order)
-        for diagrams, n, (rank, trivial, taut_rank) in by_degree(plane_invariants(plane)):
+        for diagrams, n, (rank, trivial, taut_rank) in plane_invariants(plane):
             expected = ranks.total * n
             tup = lambda: PartitionTuple(ranks, diagrams)  # built only for a failure
             report.check(
@@ -323,8 +326,7 @@ def suite_no_twist(
     report = SuiteReport()
     for ranks in det_ranks:
         table = line_table(ranks, det_len, lambda block: block)
-        block_det = lambda key: table.weight(*key).det()
-        for lengths, n, got in by_degree(table.fold(block_det, operator.mul, Monomial.one())):
+        for lengths, n, got in table.fold(Character.det, operator.mul, Monomial.one()):
             expected = ranks.framing() ** n
             report.check(
                 got == expected,
@@ -353,8 +355,7 @@ def suite_cy_vanishing(ranks_list=ranks_up_to(3), max_len=5, num_seeds=3, seed=1
     report = SuiteReport()
     for ranks in ranks_list:
         table = localized_forms(ranks, max_len)
-        block_order = lambda key: cy_order(table.weight(*key))
-        leaves = by_degree(table.fold(block_order, operator.add, 0))
+        leaves = table.fold(cy_order, operator.add, 0)
         orders = {states: o for states, _, o in leaves}
         rest_vars = (T2,) + ranks.w_vars()
         first_orders = [

@@ -140,6 +140,14 @@ class TestVerify:
         assert code == EXIT_PASS
         assert out == (GOLDEN / f"verify_{suite}_seed{seed}.txt").read_text()
 
+    def test_limits_passes_where_a_point_moved_a_factor_to_a_pole(self, capsys):
+        """At seed 1423, ``t2 = 1/10``: at the fixed speed ``10^3`` the factor
+        ``1 - t2^3 w11^-1 w12`` of a convergence block vanished and ``verify limits``
+        raised; speeds derived from the point keep every factor away from 0."""
+        code, out, _ = run_cli(["verify", "limits", "--seed", "1423"], capsys)
+        assert code == EXIT_PASS
+        assert out.endswith("failures: 0\nstatus: pass\n")
+
     def test_suite_option_flag_is_rejected(self, capsys):
         """The suite is named only positionally; ``--suite NAME`` is a usage error."""
         with pytest.raises(SystemExit) as exc:

@@ -59,7 +59,7 @@ from quotloc.series import (
     twisted_point,
 )
 from quotloc.suites import ranks_up_to, suite_cy_vanishing
-from quotloc.vertex import Ranks, contribution, fixed_points, line_states, vertex_term
+from quotloc.vertex import Ranks, contribution, fixed_points, line_states, slot_states, vertex_term
 
 from strategies import VARS, monomials, nonzero_rationals
 
@@ -300,12 +300,11 @@ def test_pole_wins_over_a_vanishing_numerator_factor(numerator_first):
 
 
 def folded_once(table, value, combine, start, items):
-    """``table.fold`` as a map ``states -> acc``, after checking that it
-    yields each element of ``items(n)`` exactly once, at degree ``n``, and
-    that its leaves, stably sorted by degree, come in the order of
-    ``items(0), items(1), ...`` (the ``slot_states`` order)."""
-    folded = list(table.fold(value, combine, start))
-    got = [(size, states) for states, size, _ in sorted(folded, key=lambda leaf: leaf[1])]
+    """``table.fold`` as a map ``states -> acc``, after checking that its
+    leaves are the elements of ``items(0), items(1), ...`` (the ``slot_states``
+    order), each once, at its degree, in that order."""
+    folded = table.fold(value, combine, start)
+    got = [(size, states) for states, size, _ in folded]
     assert got == [(n, states) for n in range(table.order + 1) for states in items(n)]
     return {states: acc for states, _, acc in folded}
 
@@ -320,8 +319,8 @@ def column_or_row(ranks, diagrams):
 
 @pytest.mark.parametrize("kind", ["line", "limit", "oracle"])
 def test_fold_yields_each_degree_in_reference_order(kind):
-    """Sorted stably by degree, the fold's leaves are ``fixed_points`` or the surviving
-    ``partition_tuples`` in order: line and limit tables of total rank <= 4 and oracle
+    """The fold's leaves are ``fixed_points`` or the surviving ``partition_tuples``
+    in order, degree by degree: line and limit tables of total rank <= 4 and oracle
     tables of total rank <= 3, up to order 5.  The fold's ``value`` never returns ``None``,
     so an oracle fold yields the tuples its weights allow, ``C(n + r - 1, r - 1)`` of degree
     ``n``.  The symbolic suites report failures in this order."""
@@ -337,7 +336,7 @@ def test_fold_yields_each_degree_in_reference_order(kind):
             assert [len(items(n)) for n in range(6)] == [math.comb(n + r - 1, r - 1) for n in range(6)]
         else:
             items = lambda n: [bn.lengths for bn in fixed_points(ranks, n)]
-        folded_once(build(ranks, 5), lambda key: 1, operator.add, 0, items)
+        folded_once(build(ranks, 5), lambda w: 1, operator.add, 0, items)
 
 
 @pytest.mark.parametrize("order", [0, 3, 5])
@@ -356,10 +355,44 @@ def test_fold_prunes_only_at_a_none_weight(order):
     table = BlockTable(ranks.total, order, line_states, block)
     alive = lambda lengths: len({m for m in lengths if m}) == sum(1 for m in lengths if m)
     items = lambda n: [bn.lengths for bn in fixed_points(ranks, n) if alive(bn.lengths)]
-    folded = folded_once(table, lambda key: 1, operator.add, 0, items)
+    folded = folded_once(table, lambda w: 1, operator.add, 0, items)
     assert set(folded.values()) == {ranks.total**2}
     assert len(read) == len(set(read)) == len(table.weights)
     assert all(table.weights[key] is not None for key in table.tree[0])
+
+
+def test_fold_sorts_the_tree_leaves_into_slot_states_order():
+    """The tree walks a prefix's whole subtree, every degree of it, before the next
+    prefix, so its leaves of two slots at order 2 interleave degrees; the fold yields
+    them degree by degree, each degree in ``slot_states`` order."""
+    table = BlockTable(2, 2, line_states, lambda *key: key)
+    path, tree_order = [None, None], []
+    for k, _, size, state in table.tree[1]:
+        path[k] = state
+        if size is not None:
+            tree_order.append(tuple(path))
+    by_slots = [states for n in range(3) for states in slot_states(2, n, line_states)]
+    assert sorted(tree_order) == sorted(by_slots) and tree_order != by_slots
+    leaves = table.fold(lambda w: 1, operator.add, 0)
+    assert [(states, size) for states, size, _ in leaves] == [(states, sum(states)) for states in by_slots]
+
+
+def test_fold_calls_value_once_per_weight_of_the_tree():
+    """``value`` is called once per key of the tree, in the tree's key order, with that
+    key's weight itself: never with a key, never with ``None``."""
+
+    class Weight:
+        pass
+
+    def block(a, b, m_a, m_b):
+        return None if a != b and m_a == m_b > 0 else Weight()
+
+    table = BlockTable(3, 3, line_states, block)
+    seen = []
+    table.fold(lambda w: seen.append(w) or 1, operator.add, 0)
+    keys = table.tree[0]
+    assert None in table.weights.values()
+    assert len(seen) == len(keys) and all(w is table.weights[key] for w, key in zip(seen, keys))
 
 
 def pair_product(x, y):
@@ -369,12 +402,7 @@ def pair_product(x, y):
 def folded_pairs(table, point):
     """The reference of ``BlockTable.pairs``: a fold of the blocks' ``eval_pair``
     values by pair products, started at ``(1, 1)``."""
-
-    def value(key):
-        w = table.weight(*key)
-        return None if w is None else w.eval_pair(point)
-
-    return list(table.fold(value, pair_product, (1, 1)))
+    return table.fold(lambda w: w.eval_pair(point), pair_product, (1, 1))
 
 
 PLAN_POINTS = {
@@ -391,8 +419,8 @@ PLAN_TABLES = {"line": localized_forms, "limit": limit_table, "oracle": oracle_f
 
 @pytest.mark.parametrize("kind", sorted(PLAN_TABLES))
 def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
-    """The compiled plan yields every leaf's unreduced pair ``(n, d)`` in fold order,
-    equal integer by integer to the fold of ``eval_pair`` values, ``d == 0`` leaves
+    """The compiled plan yields every leaf's unreduced pair ``(n, d)`` once, in tree
+    order, equal integer by integer to the fold of ``eval_pair`` values, ``d == 0`` leaves
     included: line, limit and oracle tables of total rank <= 3, at plain,
     linearized, twisted and diagonal points, and at plain points with all ``w`` equal."""
     poles = dict.fromkeys(PLAN_POINTS, 0)
@@ -403,7 +431,7 @@ def test_plan_pairs_equal_the_fold_integer_by_integer(kind):
         for at, move in PLAN_POINTS.items():
             point = move(seeded_point(variables, ranks.total))
             want = folded_pairs(table, point)
-            assert list(table.pairs(point)) == want, (ranks, at)
+            assert sorted(table.pairs(point)) == sorted(want), (ranks, at)
             poles[at] += sum(not d for _, _, (_, d) in want)
     assert [at for at, n in poles.items() if n] == ([] if kind == "limit" else ["coincident"])
 
@@ -443,8 +471,7 @@ def test_tree_is_the_pruned_prefix_tree_depth_first():
 
 def block_orders(table):
     """``ord_D`` of every leaf, folded from its blocks' ``cy_order``."""
-    order = lambda key: cy_order(table.weight(*key))
-    return {states: o for states, _, o in table.fold(order, operator.add, 0)}
+    return {states: o for states, _, o in table.fold(cy_order, operator.add, 0)}
 
 
 @pytest.fixture
@@ -519,8 +546,7 @@ def test_oracle_block_products_equal_oracle_contribution():
     over the blocks are those of ``plane_tvir`` and ``taut_char``."""
     for ranks in ranks_up_to(3):
         table = oracle_forms(ranks, 4)
-        weight = lambda key: table.weight(*key)
-        products = {diagrams: w for diagrams, _, w in table.fold(weight, operator.mul, FactoredForm.one())}
+        products = {diagrams: w for diagrams, _, w in table.fold(lambda w: w, operator.mul, FactoredForm.one())}
         folded = {diagrams: acc for diagrams, _, acc in plane_invariants(table)}
         assert len(folded) == sum(len(partition_tuples(ranks, n)) for n in range(5))
         for n in range(5):
@@ -535,10 +561,7 @@ def test_oracle_block_products_equal_oracle_contribution():
 
 
 def factor_signs(weight):
-    """The set of ``(m, c > 0)`` over the factors ``(1 - m)^c`` of a block
-    weight; ``None`` for the zero class."""
-    if weight is None:
-        return None
+    """The set of ``(m, c > 0)`` over the factors ``(1 - m)^c`` of a block weight."""
     return frozenset((m, c > 0) for m, c in weight.factors())
 
 
@@ -551,8 +574,7 @@ def test_no_factor_sits_in_two_blocks_with_opposite_signs():
     tables = [build(ranks, 4) for build in (localized_forms, limit_table) for ranks in ranks_up_to(4)]
     tables += [oracle_forms(ranks, 4) for ranks in ranks_up_to(3)]
     for table in tables:
-        signs = lambda key: factor_signs(table.weight(*key))
-        for states, _, acc in table.fold(signs, operator.or_, frozenset()):
+        for states, _, acc in table.fold(factor_signs, operator.or_, frozenset()):
             assert not acc & {(m, not up) for m, up in acc}, states
 
 
@@ -564,7 +586,7 @@ def test_folded_det_equals_vertex_term_det():
         table = line_table(ranks, 4, lambda block: block)
         dets = folded_once(
             table,
-            lambda key: table.weight(*key).det(),
+            lambda block: block.det(),
             lambda x, y: x * y,
             Monomial.one(),
             lambda n: [bn.lengths for bn in fixed_points(ranks, n)],

@@ -20,7 +20,7 @@ from quotloc.oracle import (
     taut_char,
 )
 from quotloc.points import seeded_point
-from quotloc.series import eval_forms, localized_forms
+from quotloc.series import BlockTable, eval_forms, localized_forms
 from quotloc.suites import ranks_up_to
 from quotloc.vertex import Ranks
 
@@ -259,7 +259,7 @@ class TestZeroClass:
                     for mu in diagrams:
                         if b != a and sum(lam) + sum(mu) <= 4:
                             assert table.weight(a, b, lam, mu) is not None
-        folded = table.fold(lambda key: table.weight(*key), lambda acc, _: acc, None)
+        folded = table.fold(lambda w: w, lambda acc, _: acc, None)
         sizes = Counter(size for _, size, _ in folded)
         r = ranks.total
         assert [sizes[n] for n in range(5)] == [comb(n + r - 1, r - 1) for n in range(5)]
@@ -284,10 +284,19 @@ class TestZeroClass:
     @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
     def test_plane_invariants_yield_every_tuple(self, ranks):
         """``plane_invariants`` reads no table weight and yields every diagram tuple,
-        the zero class included, sorted stably by size in ``partition_tuples`` order."""
+        the zero class included, degree by degree in ``partition_tuples`` order."""
         table = oracle_forms(ranks, 4)
-        leaves = sorted(plane_invariants(table), key=lambda leaf: leaf[1])
+        leaves = list(plane_invariants(table))
         assert [(n, d) for d, n, _ in leaves] == [
             (n, tup.diagrams) for n in range(5) for tup in partition_tuples(ranks, n)
         ]
         assert not table.weights
+
+    def test_plane_invariants_build_no_block_table(self, monkeypatch):
+        """The invariants scan the diagram tuples of the table's slots, order and
+        states themselves: no second table over every tuple."""
+        ranks, built, init = Ranks(2, 1), [], BlockTable.__init__
+        table = oracle_forms(ranks, 4)
+        monkeypatch.setattr(BlockTable, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        tuples = sum(len(partition_tuples(ranks, n)) for n in range(5))
+        assert sum(1 for _ in plane_invariants(table)) == tuples and built == []

@@ -387,8 +387,7 @@ class TestEvalFormsPlumbing:
     def test_localized_forms_shape(self):
         table = localized_forms(Ranks(2, 1), 3)
         assert (table.slots, table.order) == (3, 3)
-        weight = lambda key: table.weight(*key)
-        products = {bn: w for bn, _, w in table.fold(weight, operator.mul, FactoredForm.one())}
+        products = {bn: w for bn, _, w in table.fold(lambda w: w, operator.mul, FactoredForm.one())}
         for n in range(4):
             for bn in fixed_points(Ranks(2, 1), n):
                 assert products[bn.lengths] == contribution(bn)
