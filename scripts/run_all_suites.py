@@ -4,7 +4,7 @@ a one-line summary per suite.
 
     python scripts/run_all_suites.py [--seed S]
 
-Exits nonzero if any suite fails.
+Exits nonzero if any suite fails or makes no checks.
 """
 
 import argparse
@@ -20,15 +20,15 @@ def main():
     args = parser.parse_args()
 
     failed = 0
-    for name, suite in CLI_SUITES.items():
+    for name, record in CLI_SUITES.items():
         start = time.monotonic()
-        report = suite(**suite_kwargs(suite, seed=args.seed))
+        report = record.run(**suite_kwargs(record.run, seed=args.seed))
         elapsed = time.monotonic() - start
-        status = "pass" if report.passed else "FAIL"
-        print(f"{name:<16s} {status}  checks={report.checks:<6d} {elapsed:6.2f}s")
+        passed = report.passed and report.checks > 0  # a report of zero checks verified nothing
+        print(f"{name:<16s} {'pass' if passed else 'FAIL'}  checks={report.checks:<6d} {elapsed:6.2f}s")
         for line in report.failures[:5]:
             print(f"    {line}")
-        failed += not report.passed
+        failed += not passed
     return 1 if failed else 0
 
 

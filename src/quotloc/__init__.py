@@ -34,9 +34,6 @@ from .oracle import (
     PartitionTuple,
     oracle_forms,
     partition_tuples,
-    plane_q_char,
-    plane_tvir,
-    taut_char,
 )
 from .points import (
     LinearPoint,
@@ -44,7 +41,6 @@ from .points import (
     PointExhausted,
     rational_stream,
     retry_points,
-    seeded_point,
 )
 from .rational import rat_str, rational
 from .series import (
@@ -70,10 +66,7 @@ from .vertex import (
     FixedPoint,
     MovabilityViolation,
     Ranks,
-    box_char,
-    contribution,
     fixed_points,
-    q_char,
     smooth_tangent,
     vertex_block,
     vertex_term,

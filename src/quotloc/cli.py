@@ -5,11 +5,11 @@ Two subcommands::
     quotloc compute --r1 R1 --r2 R2 --order N --seed S [--num-points K] [--out PATH]
     quotloc verify SUITE [--r1 R1 --r2 R2] [--order N --seed S --num-points K --out PATH]
 
-``verify`` passes each flag given to every keyword of its ``FLAG_KEYWORDS``
-row that the suite's signature names (``--order`` is ``order``, ``max_len``
-or ``det_len``, for example); a flag left out leaves the suite's default,
-and ``--num-points`` is a usage error for a suite that names none of its
-keywords.
+A run reads one :class:`~quotloc.suites.Suite` record, ``COMPUTE`` or
+``CLI_SUITES[SUITE]``, and passes each flag given to every keyword of its
+``FLAG_KEYWORDS`` row that the record's ``run`` names (``--order`` is ``order``,
+``max_len`` or ``det_len``, for example); ``--num-points`` is a usage error for a
+``run`` that names none.  The record's guard and ``count`` refuse a run before it starts.
 
 Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 import time
 
@@ -32,7 +31,7 @@ from .chars import var_name
 from .points import PointExhausted, rational_stream, retry_points
 from .rational import rat_str
 from .series import eval_forms, localized_forms, z_closed
-from .suites import CLI_SUITES, SHIFT_RANKS, SuiteReport
+from .suites import CLI_SUITES, Suite, SuiteReport
 from .vertex import Ranks
 
 EXIT_PASS = 0
@@ -41,7 +40,7 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_IO = 4
 
-MAX_FIXED_POINTS = 10**5  # fixed points up to order n at total rank r (fixed_point_count)
+MAX_FIXED_POINTS = 10**5  # fixed points up to order n at total rank r (the run's Suite.count)
 
 
 class NoChecks(ValueError):
@@ -104,6 +103,9 @@ def compute_points(ranks=Ranks(1, 0), order=6, num_points=1, seed=1) -> list:
     return point_blocks
 
 
+COMPUTE = Suite(compute_points)  # ``compute`` as one more record: line fixed points, no guard
+
+
 def cmd_compute(args) -> tuple[str, int]:
     """Evaluate the localized and closed-form series at seeded points."""
     tree = [
@@ -139,15 +141,15 @@ def suite_kwargs(suite, **flags) -> dict:
 
 
 def run_kwargs(args, fn) -> dict:
-    """The keywords the run passes to ``fn``, ``compute_points`` or its suite."""
+    """The keywords the run passes to ``fn``, the ``run`` of its record."""
     flags = dict(ranks=_ranks(args), order=args.order, num_points=args.num_points, seed=args.seed)
     return suite_kwargs(fn, **flags)
 
 
 def cmd_verify(args) -> tuple[str, int]:
     """Run one named suite and report pass/fail with counterexamples."""
-    suite = CLI_SUITES[args.suite]
-    report: SuiteReport = suite(**run_kwargs(args, suite))
+    run = CLI_SUITES[args.suite].run
+    report: SuiteReport = run(**run_kwargs(args, run))
     if not report.checks:
         raise NoChecks(f"suite {args.suite} made no checks")
     tree = [
@@ -192,10 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
-    suite = args.suite if args.command == "verify" else None
-    if suite is not None and suite not in CLI_SUITES:
-        parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
-    fn = compute_points if suite is None else CLI_SUITES[suite]
+    if args.command == "verify" and args.suite not in CLI_SUITES:
+        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(CLI_SUITES))}")
+    record = COMPUTE if args.command == "compute" else CLI_SUITES[args.suite]
     try:
         ranks = _ranks(args)
     except ValueError as exc:
@@ -204,39 +205,18 @@ def _validate(parser, args) -> None:
         parser.error("order must be nonnegative")
     if args.num_points is not None and args.num_points < 1:
         parser.error("num-points must be at least 1")
-    if args.num_points is not None and not suite_kwargs(fn, num_points=args.num_points):
-        parser.error(f"the {suite} suite takes no --num-points")
-    if suite == "smooth-chi-y" and args.r1:
-        parser.error("the smooth-chi-y suite requires r1 = 0")
-    if suite == "limits" and ranks is not None and ranks.total < 2:
-        parser.error("the limits suite needs r1 + r2 >= 2")
-    bound = inspect.signature(fn).bind(**run_kwargs(args, fn))
+    if args.num_points is not None and not suite_kwargs(record.run, num_points=args.num_points):
+        parser.error(f"the {args.suite} suite takes no --num-points")
+    if (refusal := record.guard(ranks)) is not None:
+        parser.error(refusal)
+    bound = inspect.signature(record.run).bind(**run_kwargs(args, record.run))
     bound.apply_defaults()  # size budget: the largest order n and total rank r the run asks for
     given = lambda row: [v for k, v in bound.arguments.items() if k in FLAG_KEYWORDS[row]]
     pairs = [p for v in given("ranks") for p in ((v,) if isinstance(v, Ranks) else v)]
-    if suite == "limits":  # its q-shift bookkeeping runs every rank pair of SHIFT_RANKS
-        pairs += SHIFT_RANKS
+    pairs += record.always_ranks
     n, r = max(given("order"), default=0), max((p.total for p in pairs), default=0)
-    if fixed_point_count(suite, n, r) > MAX_FIXED_POINTS:
+    if record.count(n, r, MAX_FIXED_POINTS) > MAX_FIXED_POINTS:
         parser.error(f"order {n} at total rank {r} exceeds the size budget of {MAX_FIXED_POINTS} fixed points")
-
-
-def fixed_point_count(suite, n: int, r: int) -> int:
-    """The fixed points a run enumerates at order ``n`` and total rank ``r``,
-    or a number over ``MAX_FIXED_POINTS`` once they exceed it, so huge flags
-    stay cheap: ``C(n + r, r)`` line fixed points, and for ``oracle`` the
-    diagram tuples ``sum_(m <= n) [q^m] prod_k (1 - q^k)^-r``."""
-    if suite != "oracle":
-        # past min(n, r) = 20, C(n + r, 20) is already over budget
-        return math.comb(n + r, min(n, r, 20))
-    # f = prod_k (1 - q^k)^-r satisfies m f_m = r sum_(k=1..m) sigma(k) f_(m-k)
-    f, sigma = [1], [0]
-    for m in range(1, n + 1):
-        if sum(f) > MAX_FIXED_POINTS:
-            break
-        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
-        f.append(r * sum(sigma[k] * f[m - k] for k in range(1, m + 1)) // m)
-    return sum(f)
 
 
 def main(argv=None) -> int:
@@ -245,10 +225,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     started = time.monotonic()
     try:
-        if args.command == "compute":
-            text, code = cmd_compute(args)
-        else:
-            text, code = cmd_verify(args)
+        text, code = cmd_compute(args) if args.command == "compute" else cmd_verify(args)
     except PointExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED

@@ -73,6 +73,19 @@ def partition_tuples(ranks: Ranks, n: int) -> list:
     return [PartitionTuple(ranks, d) for d in slot_states(ranks.total, n, partitions)]
 
 
+def partition_tuple_count(n: int, r: int, cap: int) -> int:
+    """The partition tuples of total rank ``r`` up to size ``n``, ``sum_(m <= n) f_m`` for
+    ``f = prod_k (1 - q^k)^-r``, or a number over ``cap`` once they exceed it; ``f``
+    satisfies ``m f_m = r sum_(k=1..m) sigma(k) f_(m-k)``."""
+    f, sigma = [1], [0]
+    for m in range(1, n + 1):
+        if sum(f) > cap:
+            break
+        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
+        f.append(r * sum(sigma[k] * f[m - k] for k in range(1, m + 1)) // m)
+    return sum(f)
+
+
 @functools.cache
 def diagram_char(parts: tuple) -> Character:
     """Character of one Young diagram: ``sum_boxes t1^a t2^b``, box ``(a, b)``

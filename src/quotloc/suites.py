@@ -12,6 +12,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .chars import (
     Character,
@@ -31,7 +32,7 @@ from .limits import (
     limit_table,
     slot_shifts,
 )
-from .oracle import PartitionTuple, oracle_forms, plane_invariants
+from .oracle import PartitionTuple, oracle_forms, partition_tuple_count, plane_invariants
 from .points import draw_point, rational_stream, retry_points
 from .rational import rat_str, rational
 from .series import (
@@ -54,6 +55,7 @@ from .series import (
 from .vertex import (
     FixedPoint,
     Ranks,
+    fixed_point_count,
     fixed_points,
     smooth_tangent,
     vertex_block,
@@ -528,15 +530,32 @@ def suite_euler_multiplicativity(count=100, seed=1):
     return report
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One suite as the command line runs it; ``cli._validate`` reads every field."""
+
+    run: Callable  # the suite function
+    count: Callable = fixed_point_count  # (n, r, cap): fixed points at order n, total rank r, or any number over cap
+    always_ranks: tuple = ()  # rank pairs the suite runs whatever the flags, for the size budget
+    guard: Callable = lambda ranks: None  # the flagged ranks (None: not given) -> usage-error text, or None
+
+
 CLI_SUITES = {
-    "closed-form": suite_closed_form,
-    "framing": suite_framing,
-    "factorization": suite_factorization,
-    "limits": suite_limits,
-    "oracle": suite_oracle,
-    "cohomological": suite_cohomological,
-    "no-twist": suite_no_twist,
-    "cy-vanishing": suite_cy_vanishing,
-    "euler-count": suite_euler_count,
-    "smooth-chi-y": suite_smooth_chi_y,
+    "closed-form": Suite(suite_closed_form),
+    "framing": Suite(suite_framing),
+    "factorization": Suite(suite_factorization),
+    "limits": Suite(
+        suite_limits,
+        always_ranks=SHIFT_RANKS,
+        guard=lambda ranks: "the limits suite needs r1 + r2 >= 2" if ranks and ranks.total < 2 else None,
+    ),
+    "oracle": Suite(suite_oracle, count=partition_tuple_count),
+    "cohomological": Suite(suite_cohomological),
+    "no-twist": Suite(suite_no_twist),
+    "cy-vanishing": Suite(suite_cy_vanishing),
+    "euler-count": Suite(suite_euler_count),
+    "smooth-chi-y": Suite(
+        suite_smooth_chi_y,
+        guard=lambda ranks: "the smooth-chi-y suite requires r1 = 0" if ranks and ranks.r1 else None,
+    ),
 }

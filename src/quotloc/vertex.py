@@ -121,6 +121,16 @@ def fixed_points(ranks: Ranks, n: int) -> list:
     return [FixedPoint(ranks, c) for c in slot_states(ranks.total, n, line_states)]
 
 
+def fixed_point_count(n: int, r: int, cap: int) -> int:
+    """``C(n + r, r)``, the fixed points of total rank ``r`` up to length ``n``, or a number
+    over ``cap`` once they exceed it: ``C(n + r, k)`` grows with ``k`` up to ``min(n, r)``."""
+    count, k = 1, 0
+    while count <= cap and k < min(n, r):
+        k += 1
+        count = count * (n + r + 1 - k) // k
+    return count
+
+
 def box_char(m: int, i: int) -> Character:
     """Character of the length-``m`` quotient on line ``i``:
     ``1 + t + ... + t^(m-1)`` in the opposite axis variable."""

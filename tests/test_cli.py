@@ -1,6 +1,7 @@
 """The batch driver: reports, determinism and exit codes."""
 
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import quotloc
 from quotloc.chars import T1, T2, PoleAtPoint
 from quotloc.cli import (
+    COMPUTE,
     EXIT_IO,
     EXIT_PASS,
     EXIT_SUITE_FAILURE,
@@ -21,7 +23,6 @@ from quotloc.cli import (
     _point_tree,
     _validate,
     compute_points,
-    fixed_point_count,
     build_parser,
     main,
     suite_kwargs,
@@ -30,8 +31,8 @@ from quotloc.points import draw_point, rational_stream, seeded_point
 from quotloc.rational import rat_str
 from quotloc.oracle import partition_tuples
 from quotloc.series import z_closed
-from quotloc.suites import CLI_SUITES, ranks_up_to
-from quotloc.vertex import Ranks
+from quotloc.suites import CLI_SUITES, Suite, SuiteReport, ranks_up_to
+from quotloc.vertex import Ranks, fixed_points
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -224,12 +225,11 @@ class TestVerify:
 
     def test_failure_exit_code_and_counterexample(self, capsys, monkeypatch):
         from quotloc import cli
-        from quotloc.suites import SuiteReport
 
         def broken_suite(**kw):
             return SuiteReport(checks=3, failures=["r=1,0 q^1 differs: 1/2 vs 1/3"])
 
-        monkeypatch.setitem(cli.CLI_SUITES, "closed-form", broken_suite)
+        monkeypatch.setitem(cli.CLI_SUITES, "closed-form", Suite(broken_suite))
         code, out, _ = run_cli(["verify", "closed-form"], capsys)
         assert code == EXIT_SUITE_FAILURE
         assert "status: fail" in out
@@ -243,7 +243,7 @@ class TestVerify:
         def starved_suite(**kw):
             raise PointExhausted("no usable points")
 
-        monkeypatch.setitem(cli.CLI_SUITES, "framing", starved_suite)
+        monkeypatch.setitem(cli.CLI_SUITES, "framing", Suite(starved_suite))
         code, out, err = run_cli(["verify", "framing"], capsys)
         assert code == EXIT_EXHAUSTED
         assert out == "" and "no usable points" in err
@@ -255,27 +255,27 @@ class TestFlagKeywords:
 
     @pytest.mark.parametrize("name", sorted(CLI_SUITES))
     def test_every_suite_keyword_is_reached_by_a_flag(self, name):
-        suite = CLI_SUITES[name]
+        suite = CLI_SUITES[name].run
         kw = suite_kwargs(suite, ranks=Ranks(1, 1), order=3, num_points=2, seed=7)
         assert set(kw) == set(inspect.signature(suite).parameters)
         assert set(kw) & set(FLAG_KEYWORDS["ranks"])
         assert set(kw) & set(FLAG_KEYWORDS["order"])
 
     def test_num_points_reaches_exactly_these_suites(self):
-        takes = {name for name, suite in CLI_SUITES.items() if suite_kwargs(suite, num_points=2)}
+        takes = {name for name, record in CLI_SUITES.items() if suite_kwargs(record.run, num_points=2)}
         assert takes == {
             "closed-form", "framing", "factorization", "oracle", "cohomological",
             "no-twist", "cy-vanishing",
         }
 
     def test_no_twist_gets_both_rank_and_order_keywords(self):
-        kw = suite_kwargs(CLI_SUITES["no-twist"], ranks=Ranks(2, 1), order=4)
+        kw = suite_kwargs(CLI_SUITES["no-twist"].run, ranks=Ranks(2, 1), order=4)
         assert kw == {
             "det_ranks": (Ranks(2, 1),), "ranks_list": (Ranks(2, 1),), "order": 4, "det_len": 4,
         }
 
     def test_omitted_flags_leave_the_defaults(self):
-        suite = CLI_SUITES["cy-vanishing"]
+        suite = CLI_SUITES["cy-vanishing"].run
         assert suite_kwargs(suite, ranks=None, order=None, num_points=None, seed=3) == {"seed": 3}
 
 
@@ -338,8 +338,9 @@ class TestSizeBudget:
     def test_defaults_fit_the_budget(self, argv, capsys, monkeypatch):
         self.validate(argv)
         n, r = self.asked_size(argv, capsys, monkeypatch)
+        record = COMPUTE if argv == ["compute"] else CLI_SUITES[argv[-1]]
         assert math.comb(n + r, r) <= 1001
-        assert fixed_point_count(argv[-1], n, r) <= 1001
+        assert record.count(n, r, MAX_FIXED_POINTS) <= 1001
 
     @pytest.mark.parametrize(
         "argv,size",
@@ -365,11 +366,60 @@ class TestSizeBudget:
         assert MAX_FIXED_POINTS == 10**5
 
     def test_oracle_count_is_the_diagram_tuple_count(self):
-        for ranks in ranks_up_to(3):
-            for n in range(5):
-                tuples = sum(len(partition_tuples(ranks, m)) for m in range(n + 1))
-                assert fixed_point_count("oracle", n, ranks.total) == tuples
-        assert fixed_point_count("oracle", 20, 3) > MAX_FIXED_POINTS
+        """Each record's count is the number of states its suite enumerates: diagram
+        tuples for ``oracle``, line fixed points for the others."""
+        for name, states in (("oracle", partition_tuples), ("closed-form", fixed_points)):
+            for ranks in ranks_up_to(3):
+                for n in range(5):
+                    total = sum(len(states(ranks, m)) for m in range(n + 1))
+                    assert CLI_SUITES[name].count(n, ranks.total, MAX_FIXED_POINTS) == total
+        assert CLI_SUITES["oracle"].count(20, 3, MAX_FIXED_POINTS) > MAX_FIXED_POINTS
+
+    def test_a_new_record_needs_no_cli_change(self, capsys, monkeypatch):
+        """A record the driver has never seen brings its own guard, fixed ranks and
+        count, and ``_validate`` applies all three."""
+        asked = []
+
+        def toy_suite(ranks=Ranks(1, 0), order=2, seed=1):
+            raise AssertionError("work started")
+
+        def count(n, r, cap):
+            asked.append((n, r, cap))
+            return 7 * n
+
+        guard = lambda ranks: "the toy suite needs r2 = 0" if ranks and ranks.r2 else None
+        monkeypatch.setitem(CLI_SUITES, "toy", Suite(toy_suite, count, (Ranks(3, 2),), guard))
+        with pytest.raises(SystemExit) as exc:
+            self.validate(["verify", "toy", "--r2", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "the toy suite needs r2 = 0" in capsys.readouterr().err and asked == []
+        self.validate(["verify", "toy", "--order", "3"])  # the fixed ranks set r = 5
+        with pytest.raises(SystemExit):
+            self.validate(["verify", "toy", "--r1", "9", "--order", str(MAX_FIXED_POINTS // 7 + 1)])
+        assert "order 14286 at total rank 9 exceeds" in capsys.readouterr().err
+        assert asked == [(3, 5, MAX_FIXED_POINTS), (14286, 9, MAX_FIXED_POINTS)]
+
+
+class TestFlagSweep:
+    """Every command over a grid of flags ends in a documented exit code, never in
+    an exception other than ``SystemExit``."""
+
+    COMMANDS = [["compute"]] + [["verify", name] for name in sorted(CLI_SUITES)]
+    GRID = list(itertools.product([None, "0", "1", "4"], [None, "0", "3"], [None, "2"]))
+
+    def test_every_run_exits_with_a_documented_code(self):
+        codes = set()
+        for command, (r1, r2, num_points) in itertools.product(self.COMMANDS, self.GRID):
+            argv = command + ["--order", "0", "--seed", "-5"]
+            for flag, value in (("--r1", r1), ("--r2", r2), ("--num-points", num_points)):
+                argv += [] if value is None else [flag, value]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            codes.add(code)
+            assert code in range(5), argv
+        assert codes == {EXIT_PASS, EXIT_USAGE}
 
 
 class TestSubprocessEntry:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import quotloc.suites
-from quotloc.suites import SuiteReport
+from quotloc.suites import Suite, SuiteReport
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -64,7 +64,7 @@ def run_all_suites(monkeypatch, capsys, suites, argv=()):
 
 
 def test_run_all_suites_exits_1_on_a_failing_suite(monkeypatch, capsys):
-    suites = {"passing": passing_suite, "failing": failing_suite}
+    suites = {"passing": Suite(passing_suite), "failing": Suite(failing_suite)}
     code, lines = run_all_suites(monkeypatch, capsys, suites, ["--seed", "7"])
     assert code == 1 and len(lines) == 3
     assert lines[0].startswith("passing          pass  checks=2 ")
@@ -73,6 +73,15 @@ def test_run_all_suites_exits_1_on_a_failing_suite(monkeypatch, capsys):
 
 
 def test_run_all_suites_exits_0_when_every_suite_passes(monkeypatch, capsys):
-    code, lines = run_all_suites(monkeypatch, capsys, {"passing": passing_suite})
+    code, lines = run_all_suites(monkeypatch, capsys, {"passing": Suite(passing_suite)})
     assert code == 0 and len(lines) == 1
     assert lines[0].startswith("passing          pass  checks=2 ")
+
+
+def test_run_all_suites_fails_a_suite_of_zero_checks(monkeypatch, capsys):
+    """A report with no checks and so no failures verified nothing; ``quotloc verify``
+    refuses it too."""
+    suites = {"passing": Suite(passing_suite), "empty": Suite(lambda seed=1: SuiteReport())}
+    code, lines = run_all_suites(monkeypatch, capsys, suites)
+    assert code == 1 and len(lines) == 2
+    assert lines[1].startswith("empty            FAIL  checks=0 ")
