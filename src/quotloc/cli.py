@@ -8,8 +8,9 @@ Two subcommands::
 A run reads one :class:`~quotloc.suites.Suite` record, ``COMPUTE`` or
 ``CLI_SUITES[SUITE]``, and passes each flag given to every keyword of its
 ``FLAG_KEYWORDS`` row that the record's ``run`` names (``--order`` is ``order``,
-``max_len`` or ``det_len``, for example); ``--num-points`` is a usage error for a
-``run`` that names none.  The record's guard and ``count`` refuse a run before it starts.
+``max_len`` or ``det_len``, for example); ``--num-points`` or ``--seed`` is a usage
+error for a ``run`` that names none of its row.  The record's guard and ``count``
+refuse a run before it starts.
 
 Reports are structured key/value text with a stable field order and exact
 rationals serialized as ``numerator/denominator``; a report is
@@ -77,7 +78,7 @@ def _config_tree(args) -> list:
         ("r1", show(args.r1)),
         ("r2", show(args.r2)),
         ("order", show(args.order)),
-        ("seed", args.seed),
+        ("seed", 1 if args.seed is None else args.seed),
         ("num-points", show(args.num_points)),
     ]
 
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r1", type=int, default=None, help="rank on the first line")
         p.add_argument("--r2", type=int, default=None, help="rank on the second line")
         p.add_argument("--order", type=int, default=None, help="q-series truncation order")
-        p.add_argument("--seed", type=int, default=1, help="seed of the evaluation-point stream")
+        p.add_argument("--seed", type=int, default=None, help="seed of the evaluation-point stream (default 1)")
         p.add_argument("--num-points", type=int, default=None, help="points / assignments / seeds per check")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -205,8 +206,9 @@ def _validate(parser, args) -> None:
         parser.error("order must be nonnegative")
     if args.num_points is not None and args.num_points < 1:
         parser.error("num-points must be at least 1")
-    if args.num_points is not None and not suite_kwargs(record.run, num_points=args.num_points):
-        parser.error(f"the {args.suite} suite takes no --num-points")
+    for flag, value in (("num-points", args.num_points), ("seed", args.seed)):
+        if value is not None and not suite_kwargs(record.run, **{flag.replace("-", "_"): value}):
+            parser.error(f"the {args.suite} suite takes no --{flag}")
     if (refusal := record.guard(ranks)) is not None:
         parser.error(refusal)
     bound = inspect.signature(record.run).bind(**run_kwargs(args, record.run))

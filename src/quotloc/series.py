@@ -257,16 +257,37 @@ def localized_forms(ranks: Ranks, order: int) -> BlockTable:
     return line_table(ranks, order, lambda block: k_euler(-block))
 
 
+def _add_pairs(x, y):
+    (a, b), (c, d) = x, y
+    g = math.gcd(b, d) or 1  # b == d == 0: (0, 0), still a pole
+    return a * (d // g) + c * (b // g), b // g * d
+
+
+def degree_sums(leaves, order: int) -> list:
+    """Entry ``n`` is the sum of the ``(n, d)`` pairs of the ``(states, size, (n, d))``
+    leaves of size ``n``, added unreduced by ``a/b + c/d = (a (d/g) + c (b/g)) /
+    ((b/g) d)``, ``g = gcd(b, d)``, as a balanced pairwise tree streamed through a
+    binary counter of ``(height, pair)`` per degree (``O(log leaves)`` pairs
+    kept), then made one value by :func:`~quotloc.chars.pair_value`.  A sum's
+    denominator is 0 exactly when a summand's is: ``b/g`` is 0 only for ``b = 0``
+    (``g`` is read as 1 when ``b = d = 0``, where ``gcd`` is 0), so ``(b/g) d``
+    is 0 exactly when ``b`` or ``d`` is, and otherwise the pair is the exact sum.
+    So :class:`~quotloc.chars.PoleAtPoint` is raised exactly when a leaf has ``d == 0``."""
+    stacks = [[] for _ in range(order + 1)]
+    for _, size, pair in leaves:
+        stack, height = stacks[size], 0
+        while stack and stack[-1][0] == height:
+            pair, height = _add_pairs(stack.pop()[1], pair), height + 1
+        stack.append((height, pair))
+    return [pair_value(*functools.reduce(_add_pairs, (p for _, p in reversed(s)), (0, 1))) for s in stacks]
+
+
 def eval_forms(table: BlockTable, point: PointAssignment) -> QSeries:
-    """Evaluate a block table at one point and sum each degree over
-    :meth:`BlockTable.pairs`, which replays the table's tree on its plan.
-    Each leaf is normalised once by :func:`~quotloc.chars.pair_value`, which
-    raises :class:`~quotloc.chars.PoleAtPoint` exactly when a leaf has ``d ==
-    0``: its zeros and poles are the merged weight's (see :func:`line_table`)."""
-    totals = [RAT_ZERO] * (table.order + 1)
-    for _, size, (n, d) in table.pairs(point):
-        totals[size] += pair_value(n, d)
-    return QSeries(totals)
+    """Evaluate a block table at one point: the :func:`degree_sums` of
+    :meth:`BlockTable.pairs`, which replays the table's tree on its plan.  A leaf's
+    zeros and poles are its merged weight's (see :func:`line_table`), so a degree
+    raises :class:`~quotloc.chars.PoleAtPoint` exactly when a weight has a pole."""
+    return QSeries(degree_sums(table.pairs(point), table.order))
 
 
 def single_box(framing: Monomial) -> FactoredForm:
@@ -395,14 +416,11 @@ class DiagonalPoint(PointAssignment):
 
 def cy_first_order(table: BlockTable, orders: dict, rest_point: PointAssignment) -> list:
     """Entry ``n`` is the first-order term of coefficient ``n`` along ``D``: the
-    block products at ``DiagonalPoint(rest_point)`` of its fixed points with
-    ``orders[states] == 1``.  Raises :class:`~quotloc.chars.PoleAtPoint` when a
-    non-diagonal denominator factor of such a fixed point vanishes there."""
-    totals = [RAT_ZERO] * (table.order + 1)
-    for states, size, (n, d) in table.pairs(DiagonalPoint(rest_point)):
-        if orders[states] == 1:
-            totals[size] += pair_value(n, d)
-    return totals
+    :func:`degree_sums` of the block products at ``DiagonalPoint(rest_point)`` of its
+    fixed points with ``orders[states] == 1``.  Raises :class:`~quotloc.chars.PoleAtPoint`
+    when a non-diagonal denominator factor of such a fixed point vanishes there."""
+    leaves = table.pairs(DiagonalPoint(rest_point))
+    return degree_sums((leaf for leaf in leaves if orders[leaf[0]] == 1), table.order)
 
 
 def cy_first_order_closed(ranks: Ranks, n: int, rest_point: PointAssignment):

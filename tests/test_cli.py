@@ -213,6 +213,17 @@ class TestVerify:
         assert captured.out == ""
         assert "takes no --num-points" in captured.err
 
+    @pytest.mark.parametrize("suite", ["euler-count", "smooth-chi-y"])
+    def test_seed_rejected_where_no_suite_reads_it(self, suite, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--seed", "99"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the {suite} suite takes no --seed" in captured.err
+        assert main(["verify", suite, "--order", "2"]) == EXIT_PASS
+        assert "  seed: 1\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "args",
         [["cy-vanishing", "--order", "0"], ["framing", "--num-points", "1"]],

@@ -52,6 +52,7 @@ from quotloc.series import (
     coh_variables,
     cy_first_order,
     cy_order,
+    degree_sums,
     eval_forms,
     half_weight_twist,
     line_table,
@@ -297,6 +298,56 @@ def test_pole_wins_over_a_vanishing_numerator_factor(numerator_first):
         ordered = [numerator, denominator] if numerator_first else [denominator, numerator]
         assert same_outcome(FactoredForm(ordered), point) == "pole"
         assert same_outcome(FactoredForm([numerator]), point) == 0
+
+
+LEAF_PAIRS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool)),
+    max_size=40,
+)
+
+
+@given(LEAF_PAIRS)
+def test_degree_sums_equal_the_fraction_sums(leaves):
+    """The streamed pairwise sum of unreduced pairs equals the ``Fraction`` sum of
+    each degree, zero numerators and signed denominators included, for any count of
+    leaves (a count that is not a power of two leaves a ragged stack)."""
+    want = [sum((Fraction(n, d) for size, n, d in leaves if size == k), Fraction(0)) for k in range(3)]
+    assert degree_sums([(None, size, (n, d)) for size, n, d in leaves], 2) == want
+    event("ragged" if len(leaves) & (len(leaves) - 1) else "a power of two or none")
+
+
+def two_slot_table(specials):
+    """A two-slot table of order 2 whose block ``key`` is ``specials[key]`` and
+    otherwise ``(1 - t2)``; degree 2 has the leaves ``(2, 0)``, ``(1, 1)``, ``(0, 2)``."""
+    t1, t2 = Monomial.var(T1), Monomial.var(T2)
+    forms = {"pole": FactoredForm([(t1, -1)]), "zero": FactoredForm([(t1, 1)])}
+    block = lambda *key: forms.get(specials.get(key), FactoredForm([(t2, 1)]))
+    return BlockTable(2, 2, line_states, block)
+
+
+POLE_CASES = {  # the specials of each case, and whether degree 2 has a pole at t1 = 1
+    "one pole among nonzero leaves": ({(0, 0, 2, 2): "pole"}, True),
+    "two poles": ({(0, 0, 2, 2): "pole", (1, 1, 2, 2): "pole"}, True),
+    "three poles": ({(0, 0, 2, 2): "pole", (1, 1, 2, 2): "pole", (0, 1, 1, 1): "pole"}, True),
+    "a zero leaf": ({(0, 1, 1, 1): "zero"}, False),
+    "a pole beside a zero leaf": ({(0, 1, 1, 1): "zero", (1, 1, 2, 2): "pole"}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLE_CASES))
+def test_a_pole_leaf_makes_its_degree_a_pole(case):
+    """A degree with one ``d == 0`` leaf among nonzero ones, or with several (where
+    ``gcd(0, 0) == 0``), raises ``PoleAtPoint`` through ``degree_sums`` and
+    ``eval_forms``, never ``ZeroDivisionError``; a leaf with ``n == 0`` sums as 0."""
+    specials, pole = POLE_CASES[case]
+    table = two_slot_table(specials)
+    point = PointAssignment({T1: rational(1), T2: rational(2, 3)})
+    leaves = list(table.pairs(point))
+    for kind, vanishes in (("pole", lambda n, d: not d), ("zero", lambda n, d: not n)):
+        assert sum(vanishes(*p) for _, _, p in leaves) == sum(v == kind for v in specials.values())
+    want = "pole" if pole else [sum(pair_value(*p) for _, size, p in leaves if size == k) for k in range(3)]
+    assert outcome(lambda: degree_sums(leaves, 2)) == want
+    assert outcome(lambda: eval_forms(table, point)) == (want if pole else QSeries(want))
 
 
 def folded_once(table, value, combine, start, items):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotloc import series
 from quotloc.chars import Character, FactoredForm, Monomial, PoleAtPoint, T1, T2, pair_value, u_var
 from quotloc.limits import limit_table, slot_shifts
 from quotloc.points import PointAssignment, seeded_point
@@ -407,3 +408,23 @@ class TestEvalFormsPlumbing:
                 assert eval_forms(table, point) == QSeries.one(3)
         report = suite_cy_vanishing(max_len=3)
         assert report.passed and report.checks == 81
+
+    def test_one_pair_value_per_degree(self, monkeypatch):
+        """Each degree is summed as unreduced pairs and made a value once:
+        ``eval_forms`` calls ``pair_value`` ``order + 1`` times, and so does
+        ``cy_first_order`` at most, however many fixed points a degree has."""
+        calls = []
+
+        def counted(n, d):
+            calls.append((n, d))
+            return pair_value(n, d)
+
+        monkeypatch.setattr(series, "pair_value", counted)
+        ranks, order = Ranks(2, 1), 6
+        table = localized_forms(ranks, order)
+        eval_forms(table, full_point(ranks))
+        assert len(calls) == order + 1
+        calls.clear()
+        orders = {states: o for states, _, o in table.fold(cy_order, operator.add, 0)}
+        cy_first_order(table, orders, seeded_point((T2,) + ranks.w_vars(), 5))
+        assert 0 < len(calls) <= order + 1
