@@ -11,15 +11,10 @@ code is 1 when any row is a ``MISMATCH``, else 0.
 
 import argparse
 
-from quotloc import (
-    Ranks,
-    eval_forms,
-    localized_forms,
-    rat_str,
-    rational_stream,
-    retry_points,
-    z_closed,
-)
+from quotloc.points import rational_stream, retry_points
+from quotloc.rational import rat_str
+from quotloc.series import eval_forms, localized_forms, z_closed
+from quotloc.vertex import Ranks
 
 
 def main():

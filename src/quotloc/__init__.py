@@ -12,65 +12,4 @@ the half-weight twist, the cohomological limit, the vanishing on the
 scheme of the affine plane.
 """
 
-from .chars import (
-    Character,
-    FactoredForm,
-    Monomial,
-    PoleAtPoint,
-    TrivialDenominator,
-    k_euler,
-    pair_value,
-    t_var,
-    u_var,
-    var_name,
-    w_var,
-)
-from .limits import (
-    DivergentLimit,
-    framing_limit,
-    limit_table,
-)
-from .oracle import (
-    PartitionTuple,
-    oracle_forms,
-    partition_tuples,
-)
-from .points import (
-    LinearPoint,
-    PointAssignment,
-    PointExhausted,
-    rational_stream,
-    retry_points,
-)
-from .rational import rat_str, rational
-from .series import (
-    BlockTable,
-    DiagonalPoint,
-    QSeries,
-    cy_first_order,
-    cy_first_order_closed,
-    cy_order,
-    euler_char_series,
-    eval_forms,
-    half_weight_twist,
-    localized_forms,
-    plethystic_exp,
-    single_box,
-    twisted_point,
-    z_closed,
-    z_rank1_product,
-    zcoh_closed,
-    zhat_closed,
-)
-from .vertex import (
-    FixedPoint,
-    MovabilityViolation,
-    Ranks,
-    fixed_points,
-    smooth_tangent,
-    vertex_block,
-    vertex_term,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

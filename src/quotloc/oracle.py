@@ -174,12 +174,13 @@ def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
 
 
 def block_invariants(key) -> tuple:
-    """Rank and trivial coefficient of the tangent block ``w P`` and rank of the
-    insertion block (one term per box of ``lam_b``) of block ``key``.  Only a diagonal
-    block can hold the trivial weight: ``P`` is pure ``t``, and off the diagonal ``w != 1``."""
+    """Rank and trivial coefficient of the tangent block ``w P`` of block ``key``, and the
+    rank of its insertion block, read off ``Z_b`` as :func:`oracle_forms` builds it.  Only
+    a diagonal block can hold the trivial weight: ``P`` is pure ``t``, and off the diagonal
+    ``w != 1``."""
     a, b, lam_a, lam_b = key
     p = pair_tangent(lam_a, lam_b)
-    return p.rank(), p.trivial_coefficient() if a == b else 0, sum(lam_b)
+    return p.rank(), p.trivial_coefficient() if a == b else 0, diagram_char(lam_b).rank()
 
 
 def plane_invariants(table: BlockTable):

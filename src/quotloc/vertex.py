@@ -102,15 +102,20 @@ def line_states(m: int) -> tuple:
 def slot_states(slots: int, n: int, states) -> Iterator[tuple]:
     """Every tuple of one state per slot whose sizes sum to ``n``, ``states(m)``
     listing the states of size ``m`` as for :class:`~quotloc.series.BlockTable`:
-    the first slot's size descending, then recursively."""
-    if slots == 0:
-        if n == 0:
-            yield ()
-        return
-    for m in range(n, -1, -1) if slots > 1 else (n,):
-        for s in states(m):
-            for rest in slot_states(slots - 1, n - m, states):
-                yield (s,) + rest
+    the first slot's size descending, then the next slot's, the last taking the size left.
+    Walked on an explicit stack, as :attr:`~quotloc.series.BlockTable.tree` is, so any
+    number of slots fits."""
+    stack = [((), n)]  # (states of the first slots, the size left for the others)
+    while stack:
+        prefix, left = stack.pop()
+        if len(prefix) == slots:
+            if left == 0:
+                yield prefix
+            continue
+        # pushed size ascending and states reversed, so they pop in order
+        for m in range(left + 1) if len(prefix) + 1 < slots else (left,):
+            for s in reversed(states(m)):
+                stack.append((prefix + (s,), left - m))
 
 
 def fixed_points(ranks: Ranks, n: int) -> list:

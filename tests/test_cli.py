@@ -433,6 +433,17 @@ class TestFlagSweep:
         assert codes == {EXIT_PASS, EXIT_USAGE}
 
 
+class TestLargeTotalRank:
+    """A run inside the size budget at a total rank past the interpreter's recursion
+    limit ends in its report: fixed points are listed on an explicit stack.  Rank 1100
+    stays out of the sweep's grid, where other commands at it run for minutes."""
+
+    @pytest.mark.parametrize("suite, flag", [("euler-count", "--r1"), ("smooth-chi-y", "--r2")])
+    def test_verify_passes(self, suite, flag, capsys):
+        code, out, _ = run_cli(["verify", suite, flag, "1100", "--order", "0"], capsys)
+        assert code == EXIT_PASS and "status: pass" in out
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         # the child imports quotloc from where this test did, installed or not

@@ -32,13 +32,13 @@ def test_series_table_retries_a_point_with_a_pole(monkeypatch, capsys):
 
 
 def test_series_table_exits_1_on_a_mismatch(monkeypatch, capsys):
-    import quotloc
+    import quotloc.series
     from quotloc.series import QSeries
 
     def z_closed(ranks, point, order):
         return QSeries([0] * (order + 1))
 
-    monkeypatch.setattr(quotloc, "z_closed", z_closed)
+    monkeypatch.setattr(quotloc.series, "z_closed", z_closed)
     monkeypatch.setattr(sys, "argv", ["series_table.py", "--order", "2"])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / "series_table.py"), run_name="__main__")

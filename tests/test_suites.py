@@ -172,6 +172,24 @@ def test_oracle_reports_failing_tuples_of_one_degree_in_order(monkeypatch):
     ]
 
 
+def test_oracle_reports_a_wrong_insertion_rank(monkeypatch):
+    """The insertion's rank is read off the diagram character its weights are built
+    from, so a character that lost a box of ``(2,)`` fails the rank check at ``[2]``."""
+    diagram_char = oracle.diagram_char
+
+    def dropped(parts):
+        char = diagram_char(parts)
+        return char - Character.from_monomial(Monomial.var(T1)) if parts == (2,) else char
+
+    monkeypatch.setattr(oracle, "diagram_char", dropped)
+    oracle.pair_tangent.cache_clear()
+    try:
+        report = suite_oracle(ranks_list=(Ranks(1, 0),), order=2, num_points=1)
+    finally:
+        oracle.pair_tangent.cache_clear()
+    assert "tautological character at ([2]) has rank 1 != 2" in report.failures
+
+
 def test_smooth_chi_y_rejects_positive_r1():
     """The smooth tangent character is defined only for ``r1 = 0``."""
     with pytest.raises(ValueError):
