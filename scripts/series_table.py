@@ -4,7 +4,7 @@
 Evaluates the localized sum and the closed form side by side at one seeded
 point per rank (the next point of the seed's stream when a weight has a pole
 there), so the table doubles as a quick end-to-end sanity check: the exit
-code is 1 when any row is a ``MISMATCH``, else 0.
+code is 1 when any row is a ``MISMATCH``, 2 on a negative ``--order``, else 0.
 
     python scripts/series_table.py [--order N] [--seed S]
 """
@@ -22,6 +22,8 @@ def main():
     parser.add_argument("--order", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    if args.order < 0:
+        parser.error("order must be nonnegative")
 
     grid = [Ranks(1, 0), Ranks(0, 1), Ranks(1, 1), Ranks(2, 1), Ranks(2, 2)]
     mismatches = 0

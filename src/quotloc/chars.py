@@ -22,7 +22,8 @@ from collections.abc import Iterable, Mapping
 from .rational import rational
 
 # Variable identifiers.  Tuples sort consistently, which fixes the order in
-# which seeded points assign values and the order monomials print.
+# which seeded points assign values, the order monomials print and the speed
+# hierarchy of the framing limits: ``t < u < w``, and ``("w", i, a)`` by slot.
 T1 = ("t", 1)
 T2 = ("t", 2)
 U1 = ("u", 1)

@@ -2,11 +2,11 @@
 framing parameters are sent to infinity at hierarchical speeds.
 
 The framing variables are ordered by speed along the lexicographic slot
-order ``(1,1) < (1,2) < ... < (2,r2)``: every line-2 variable outruns every
-line-1 variable, and within a line later slots outrun earlier ones.  The
-speed hierarchy is formalized as lexicographic dominance of exponent
-vectors rather than concrete huge integers, which turns the limit of a
-factored form into an exact computation:
+order ``(1,1) < (1,2) < ... < (2,r2)``, their sort order: every line-2
+variable outruns every line-1 variable, and within a line later slots
+outrun earlier ones.  The speed hierarchy is formalized as lexicographic
+dominance of exponent vectors rather than concrete huge integers, which
+turns the limit of a factored form into an exact computation:
 
 * a factor ``(1 - m)^c`` with decaying ``m`` tends to 1 and is dropped,
 * a neutral factor (no framing variables in ``m``) is kept verbatim,
@@ -31,17 +31,16 @@ class DivergentLimit(ArithmeticError):
     """The growing factors' framing exponents do not cancel."""
 
 
-def classify(m: Monomial, ranks: Ranks) -> int:
-    """The sign of ``m``'s first nonzero framing exponent, the framing variables
-    read fastest first (the slot order reversed): growing, neutral or decaying."""
-    for slot in reversed(ranks.slots()):
-        e = m.exponent(("w",) + slot)
-        if e:
+def classify(m: Monomial) -> int:
+    """The sign of ``m``'s fastest framing exponent: growing, neutral or decaying.  The
+    speed order is the variables' sort order, so it is the last of ``m.exponents()``."""
+    for v, e in m.exponents()[-1:]:
+        if v[0] == "w":
             return GROWING if e > 0 else DECAYING
     return NEUTRAL
 
 
-def framing_limit(form: FactoredForm, ranks: Ranks) -> FactoredForm:
+def framing_limit(form: FactoredForm) -> FactoredForm:
     """Exact limit of a factored form under the speed hierarchy: a pure-``t`` monomial
     times the form's neutral factors.
 
@@ -55,7 +54,7 @@ def framing_limit(form: FactoredForm, ranks: Ranks) -> FactoredForm:
     """
     kept, residual, growing = [], Monomial.one(), 0
     for m, c in form.factors():
-        cls = classify(m, ranks)
+        cls = classify(m)
         if cls == NEUTRAL:
             kept.append((m, c))
         elif cls == GROWING:
@@ -75,7 +74,7 @@ def limit_table(ranks: Ranks, order: int) -> BlockTable:
     limit.  Agreement with the closed form re-derives the factorization into
     rank-one series.
     """
-    return line_table(ranks, order, lambda block: framing_limit(k_euler(-block), ranks))
+    return line_table(ranks, order, lambda block: framing_limit(k_euler(-block)))
 
 
 def slot_shifts(ranks: Ranks) -> tuple:

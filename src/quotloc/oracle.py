@@ -46,22 +46,12 @@ class PartitionTuple:
         return "(" + "|".join("[" + ",".join(map(str, d)) + "]" for d in self.diagrams) + ")"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def partitions(n: int) -> tuple:
     """All partitions of ``n`` as tuples of parts, largest first part first."""
-    if n == 0:
-        return ((),)
-    out = []
-
-    def descend(remaining: int, cap: int, prefix: tuple):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            descend(remaining - part, part, prefix + (part,))
-
-    descend(n, n, ())
-    return tuple(out)
+    return ((),) if n == 0 else tuple(
+        (k,) + p for k in range(n, 0, -1) for p in partitions(n - k) if not p or p[0] <= k
+    )
 
 
 def partition_tuples(ranks: Ranks, n: int) -> list:

@@ -215,17 +215,17 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
             (i, alpha), (j, beta) = slots[lo], slots[hi]
             for n_low in range(max_len + 1):
                 for n_high in range(max_len + 1):
-                    bn = _pair_point(ranks, {lo: n_low, hi: n_high})
+                    pair = lambda: _pair_point(ranks, {lo: n_low, hi: n_high})  # built only for a failure
                     fwd = table.weight(lo, hi, n_low, n_high)
                     report.check(
                         fwd.is_one,
-                        lambda: f"limit of block ({i}{j},{alpha}{beta}) at {bn} is {fwd} != 1",
+                        lambda: f"limit of block ({i}{j},{alpha}{beta}) at {pair()} is {fwd} != 1",
                     )
                     back = table.weight(hi, lo, n_high, n_low)
                     expected = FactoredForm(monomial=Monomial.var(("t", j), n_low))
                     report.check(
                         back == expected,
-                        lambda: f"limit of block ({j}{i},{beta}{alpha}) at {bn} is {back} != t{j}^{n_low}",
+                        lambda: f"limit of block ({j}{i},{beta}{alpha}) at {pair()} is {back} != t{j}^{n_low}",
                     )
     for other in SHIFT_RANKS:
         shifts = slot_shifts(other)
@@ -235,7 +235,7 @@ def suite_limits(ranks=Ranks(2, 2), max_len=5, seed=1):
                     crossing_shift_monomial(bn) == factored_shift_monomial(bn, shifts),
                     lambda: f"q-shift bookkeeping fails at {bn}",
                 )
-    _limits_numeric_convergence(report, ranks, seed)
+    _limits_numeric_convergence(report, ranks, table, seed)
     return report
 
 
@@ -244,7 +244,7 @@ def _pair_point(ranks, lengths: dict) -> FixedPoint:
     return FixedPoint(ranks, tuple(lengths.get(k, 0) for k in range(ranks.total)))
 
 
-def _limits_numeric_convergence(report, ranks, seed):
+def _limits_numeric_convergence(report, ranks, limits, seed):
     """Evaluating at hierarchical speeds approaches the limit: slot ``k`` moves as ``big^(k + 1)``,
     so raising ``big`` from ``B = 10^3 H^4``, ``H`` the largest numerator or denominator of ``t1, t2``,
     to ``10^3 B`` must shrink the gap of block ``(hi, lo)`` at lengths ``(3, 2)`` by ``10^(3 d)``,
@@ -254,25 +254,26 @@ def _limits_numeric_convergence(report, ranks, seed):
     over the terms ``c m`` of ``C``, that is ``t^2 (1 + e C (1 - e b) / prod_(c > 0) (1 - e m))``
     with ``b = 0`` across lines and ``s^-2 (1 + t^-1) / (1 + s)`` on one.  The stream draws positive
     ``t_i != 1``: ``C != 0``, ``H >= 2`` and ``m, b <= H^4``, so ``e m`` and ``e b`` lie in ``(0,
-    10^-3]``, no factor vanishes, and the gap falls by at least ``10^(3 d) (1 - 10^-3)``."""
+    10^-3]``, no factor vanishes, and the gap falls by at least ``10^(3 d) (1 - 10^-3)``.  ``limits``
+    is the suite's limit table: its weights are built on demand, at any order."""
     stream = rational_stream(seed)
     t_point = draw_point((T1, T2), stream)
     height = max(max(x.numerator, x.denominator) for x in (t_point.value(T1), t_point.value(T2)))
-    slots = ranks.slots()
-    forms, limits = localized_forms(ranks, 3), limit_table(ranks, 3)
+    speed_points = [
+        t_point.with_values({v: rational(big) ** (k + 1) for k, v in enumerate(ranks.w_vars())})
+        for big in (10**3 * height**4, 10**6 * height**4)
+    ]
+    slots, forms = ranks.slots(), localized_forms(ranks, 3)
     for lo in range(len(slots)):
         for hi in range(lo + 1, len(slots)):
             (i, alpha), (j, beta) = slots[lo], slots[hi]
-            bn = _pair_point(ranks, {lo: 2, hi: 3})
+            pair = lambda: _pair_point(ranks, {lo: 2, hi: 3})  # built only for a failure
             form = forms.weight(hi, lo, 3, 2)
             limit_value = limits.weight(hi, lo, 3, 2).eval_point(t_point)
-            gaps = []
-            for big in (10**3 * height**4, 10**6 * height**4):
-                w = {v: rational(big) ** (k + 1) for k, v in enumerate(ranks.w_vars())}
-                gaps.append(abs(form.eval_point(t_point.with_values(w)) - limit_value))
+            gaps = [abs(form.eval_point(point) - limit_value) for point in speed_points]
             report.check(
                 gaps[1] < gaps[0] and gaps[1] * 10 ** (3 * (hi - lo) - 1) <= gaps[0],
-                lambda: f"no convergence toward the limit for block ({j}{i},{beta}{alpha}) at {bn}",
+                lambda: f"no convergence toward the limit for block ({j}{i},{beta}{alpha}) at {pair()}",
             )
 
 

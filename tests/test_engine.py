@@ -139,7 +139,7 @@ def ref_cohomological(ranks, order):
 
 def ref_limits(ranks, order):
     """The framing limit of each fixed point's whole weight."""
-    weight = lambda bn: framing_limit(contribution(bn), ranks)
+    weight = lambda bn: framing_limit(contribution(bn))
     return reference_sum(order, lambda n: fixed_points(ranks, n), weight)
 
 

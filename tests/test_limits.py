@@ -27,6 +27,16 @@ from quotloc.vertex import Ranks, fixed_points, vertex_block
 RANKS22 = Ranks(2, 2)
 
 
+def slot_scan(m, ranks):
+    """The speed order rebuilt from the slots, as a reference: the sign of ``m``'s
+    first nonzero framing exponent, the slots read fastest (last) first."""
+    for slot in reversed(ranks.slots()):
+        e = m.exponent(w_var(*slot))
+        if e:
+            return GROWING if e > 0 else DECAYING
+    return NEUTRAL
+
+
 class TestClassify:
     def test_later_slot_outruns_earlier_on_every_slot_pair(self):
         """On all four slots of (2,2), ``w_k^5 w_l^-1`` with ``k < l`` decays
@@ -35,52 +45,61 @@ class TestClassify:
         for k, l in itertools.combinations(range(len(slots)), 2):
             for t_part in (Monomial.one(), Monomial({T1: 3, T2: -2})):
                 m = Monomial({w_var(*slots[k]): 5, w_var(*slots[l]): -1}) * t_part
-                assert classify(m, RANKS22) == DECAYING, (slots[k], slots[l])
-                assert classify(m.inverse(), RANKS22) == GROWING, (slots[k], slots[l])
+                assert classify(m) == DECAYING, (slots[k], slots[l])
+                assert classify(m.inverse()) == GROWING, (slots[k], slots[l])
 
     def test_fastest_variable_decides(self):
         m = Monomial({w_var(1, 1): 2, w_var(2, 2): -3})
-        assert classify(m, RANKS22) == DECAYING
-        assert classify(m.inverse(), RANKS22) == GROWING
+        assert classify(m) == DECAYING
+        assert classify(m.inverse()) == GROWING
 
     def test_cross_group_dominance(self):
         m = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T1: 1})
-        assert classify(m, RANKS22) == GROWING
-        assert classify(m.inverse(), RANKS22) == DECAYING
+        assert classify(m) == GROWING
+        assert classify(m.inverse()) == DECAYING
 
     def test_pure_t_is_neutral(self):
-        assert classify(Monomial({T1: 1, T2: -3}), RANKS22) == NEUTRAL
-        assert classify(Monomial.one(), RANKS22) == NEUTRAL
+        assert classify(Monomial({T1: 1, T2: -3})) == NEUTRAL
+        assert classify(Monomial.one()) == NEUTRAL
 
     def test_within_group_later_slot_dominates(self):
         # the first limit identity forces the speeds to increase along the
         # slot order, so w11 * w12^-1 decays
         m = Monomial({w_var(1, 1): 1, w_var(1, 2): -1})
-        assert classify(m, RANKS22) == DECAYING
-        assert classify(m.inverse(), RANKS22) == GROWING
+        assert classify(m) == DECAYING
+        assert classify(m.inverse()) == GROWING
+
+    def test_agrees_with_the_slot_scan(self):
+        """Reading the last sorted exponent agrees with scanning the slots on every
+        monomial over ``t1, t2`` and the framing variables, exponents in {-1, 0, 1}."""
+        for ranks in (Ranks(2, 2), Ranks(3, 1)):
+            variables = [T1, T2] + [w_var(*slot) for slot in ranks.slots()]
+            for exponents in itertools.product((-1, 0, 1), repeat=len(variables)):
+                m = Monomial(zip(variables, exponents))
+                assert classify(m) == slot_scan(m, ranks), m
 
 
 class TestFramingLimit:
     def test_decaying_factors_drop(self):
         m = Monomial({w_var(1, 1): 1, w_var(2, 1): -1, T1: 2})
-        assert framing_limit(FactoredForm([(m, 5)]), RANKS22).is_one
+        assert framing_limit(FactoredForm([(m, 5)])).is_one
 
     def test_neutral_factors_kept(self):
         m = Monomial({T1: 1, T2: 1})
         form = FactoredForm([(m, -1)])
-        lim = framing_limit(form, RANKS22)
+        lim = framing_limit(form)
         assert lim == form
 
     def test_unbalanced_growing_diverges(self):
         growing = Monomial({w_var(1, 1): -1, w_var(2, 1): 1})
         with pytest.raises(DivergentLimit):
-            framing_limit(FactoredForm([(growing, 1)]), RANKS22)
+            framing_limit(FactoredForm([(growing, 1)]))
 
     def test_balanced_growing_pair(self):
         up = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T2: 1})
         down = Monomial({w_var(1, 1): -1, w_var(2, 1): 1})
         form = FactoredForm([(up, 1), (down, -1)])
-        assert framing_limit(form, RANKS22) == FactoredForm(monomial=Monomial.var(T2))
+        assert framing_limit(form) == FactoredForm(monomial=Monomial.var(T2))
 
     def test_odd_growing_multiplicity_raises(self):
         single = Monomial({w_var(1, 1): -1, w_var(2, 1): 1, T2: 1})
@@ -88,7 +107,7 @@ class TestFramingLimit:
         # both grow; multiplicities 2 - 1 = 1 (odd) and the w parts cancel
         form = FactoredForm([(single, 2), (double, -1)])
         with pytest.raises(ValueError, match="odd growing multiplicity 1"):
-            framing_limit(form, RANKS22)
+            framing_limit(form)
 
     def test_cross_blocks_have_rank_zero_and_one_framing_part(self):
         """The premise of the ``framing_limit`` proof that no line block limit has

@@ -55,6 +55,9 @@ class TestPartitions:
                 assert all(part > 0 for part in p)
                 assert all(a >= b for a, b in zip(p, p[1:]))
                 assert sum(p) == n
+        # strictly decreasing lexicographically: the report order of ``verify oracle``
+        for n in range(13):
+            assert partitions(n) == tuple(sorted(set(partitions(n)), reverse=True))
 
     def test_boxes(self):
         def boxes(*exponents):

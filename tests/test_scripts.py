@@ -47,6 +47,15 @@ def test_series_table_exits_1_on_a_mismatch(monkeypatch, capsys):
     assert len(rows) == 5 and all(row.endswith("[MISMATCH]") for row in rows)
 
 
+def test_series_table_rejects_a_negative_order(monkeypatch, capsys):
+    """A negative order is a usage error, exit 2, not a ``MISMATCH`` exit 1."""
+    monkeypatch.setattr(sys, "argv", ["series_table.py", "--order", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "series_table.py"), run_name="__main__")
+    assert exc.value.code == 2
+    assert "order must be nonnegative" in capsys.readouterr().err
+
+
 def passing_suite(seed=1):
     return SuiteReport(checks=2)
 

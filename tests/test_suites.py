@@ -96,7 +96,7 @@ def test_limits_convergence_is_strict(monkeypatch):
         series, "vertex_block", lambda *args: Character.from_monomial(Monomial.var(T1))
     )
     report = SuiteReport()
-    _limits_numeric_convergence(report, Ranks(2, 2), 1)
+    _limits_numeric_convergence(report, Ranks(2, 2), limits.limit_table(Ranks(2, 2), 3), 1)
     assert report.checks == 6 and len(report.failures) == 6
 
 
@@ -107,7 +107,7 @@ def test_limits_convergence_needs_the_expected_rate(monkeypatch):
     slowest = Monomial([(w_var(1, 1), -1), (w_var(1, 2), 1)])
     monkeypatch.setattr(series, "vertex_block", lambda *args: Character.from_monomial(slowest))
     report = SuiteReport()
-    _limits_numeric_convergence(report, Ranks(2, 2), 1)
+    _limits_numeric_convergence(report, Ranks(2, 2), limits.limit_table(Ranks(2, 2), 3), 1)
     assert report.checks == 6 and len(report.failures) == 3
     assert all("no convergence" in f for f in report.failures)
 
@@ -119,6 +119,27 @@ def test_limits_convergence_passes_at_every_seed():
     for seed in range(1, 201):
         report = suite_limits(Ranks(2, 2), max_len=0, seed=seed)
         assert report.passed, (seed, report.failures)
+
+
+def test_limits_builds_each_input_once(monkeypatch):
+    """One limits run builds one limit table, one localized table and two speed
+    points: the convergence check reads the suite's limit table and builds its
+    points before the slot-pair loop."""
+    calls = {"limit_table": 0, "localized_forms": 0, "with_values": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("limit_table", "localized_forms"):
+        monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
+    monkeypatch.setattr(PointAssignment, "with_values", counted("with_values", PointAssignment.with_values))
+    report = suite_limits(Ranks(3, 3), max_len=2)
+    assert report.passed
+    assert calls == {"limit_table": 1, "localized_forms": 1, "with_values": 2}
 
 
 def test_limits_reports_a_wrong_block_limit(monkeypatch):
