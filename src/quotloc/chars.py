@@ -174,10 +174,9 @@ class Character:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | Iterable = ()):
+    def __init__(self, terms: Iterable = ()):
         data: dict[Monomial, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
+        for m, c in terms:
             c = int(c)
             if not c:
                 continue
@@ -310,7 +309,7 @@ class FactoredForm:
 
     __slots__ = ("character", "monomial")
 
-    def __init__(self, factors: Character | Mapping | Iterable = (), monomial=_MONOMIAL_ONE):
+    def __init__(self, factors: Character | Iterable = (), monomial=_MONOMIAL_ONE):
         self.character = factors if isinstance(factors, Character) else Character(factors)
         self.monomial = monomial
         if self.character.trivial_coefficient():
@@ -331,6 +330,10 @@ class FactoredForm:
         if not isinstance(other, FactoredForm):
             return NotImplemented
         return FactoredForm(self.character + other.character, self.monomial * other.monomial)
+
+    def adams(self, k: int) -> "FactoredForm":
+        """The Adams operation ``psi_k``: each factor and the monomial to the ``k``-th power."""
+        return FactoredForm(Character((m**k, c) for m, c in self.factors()), self.monomial**k)
 
     def __eq__(self, other) -> bool:
         return (

@@ -94,9 +94,9 @@ def plethystic_exp(f_eval: Callable[[int], object], order: int) -> QSeries:
     """Plethystic exponential ``exp(sum_k q^k f(vars^k) / k)`` truncated at
     ``order``.
 
-    ``f_eval(k)`` must return the exact value of the single-box term with
-    every variable raised to the ``k``-th power.  The coefficients follow the
-    derivative recurrence ``n e_n = sum_k f(k) e_(n-k)``.
+    ``f_eval(k)`` must return the exact value of the single-box term under the
+    Adams operation ``psi_k`` (every monomial to its ``k``-th power).  The
+    coefficients follow the derivative recurrence ``n e_n = sum_k f(k) e_(n-k)``.
     """
     f = [None] + [f_eval(k) for k in range(1, order + 1)]
     e = [RAT_ONE]
@@ -300,9 +300,10 @@ def single_box(framing: Monomial) -> FactoredForm:
 
 def z_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
     """The closed form: the plethystic exponential of ``q`` times the
-    :func:`single_box`, read at ``point.power(k)`` for ``q^k``."""
+    :func:`single_box`, whose ``q^k`` term reads its Adams operation
+    ``box.adams(k)`` at ``point``, of any kind."""
     box = single_box(ranks.framing())
-    return plethystic_exp(lambda k: box.eval_point(point.power(k)), order)
+    return plethystic_exp(lambda k: box.adams(k).eval_point(point), order)
 
 
 def z_rank1_product(point: PointAssignment, order: int) -> QSeries:
@@ -358,12 +359,10 @@ def coh_variables(ranks: Ranks) -> tuple:
 
 
 def zcoh_closed(ranks: Ranks, point: PointAssignment, order: int) -> QSeries:
-    """Closed cohomological form: ``(1/(1-q))^c``, the plethystic exponential
-    of the constant ``c``, the :func:`single_box` at ``point.linearized()``.
-    There each ``1 - t^mu`` reads ``-mu . s``, so
-    ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``."""
-    c = single_box(ranks.framing()).eval_point(point.linearized())
-    return plethystic_exp(lambda k: c, order)
+    """Closed cohomological form: :func:`z_closed` at ``point.linearized()``, ``(1/(1-q))^c``
+    with ``c = (s1 + s2)(r1 s1 + r2 s2) / (s1 s2)``: ``psi_k`` reads each ``1 - t^mu`` as
+    ``-k mu . s``, and the ``k`` cancels over the box's two numerator and two denominator factors."""
+    return z_closed(ranks, point.linearized(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +424,11 @@ def cy_first_order(table: BlockTable, orders: dict, rest_point: PointAssignment)
 
 def cy_first_order_closed(ranks: Ranks, n: int, rest_point: PointAssignment):
     """The closed form's first-order term of ``q^n`` along ``D``: ``G``, the
-    :func:`single_box` without its ``(1 - t1 t2)``, at the ``n``-th power of the
-    plain point ``t1 = 1/t2``, since the plethystic logarithm is
+    :func:`single_box` without its ``(1 - t1 t2)``, under the Adams operation
+    ``psi_n`` at the plain point ``t1 = 1/t2``, since the plethystic logarithm is
     ``sum_k q^k (1 - (t1 t2)^k) G(t1^k, t2^k) / k`` and ``1 - x^k = k (1 - x)
     + O((1 - x)^2)``.  Not at a :class:`DiagonalPoint`: ``1 - (t1 t2)^r`` of
     ``r1 = r2 = r`` must read 0."""
     box = single_box(ranks.framing()).character
     g = FactoredForm(box - Character.from_monomial(Monomial([(T1, 1), (T2, 1)])))
-    return g.eval_point(rest_point.with_values({T1: 1 / rest_point.value(T2)}).power(n))
+    return g.adams(n).eval_point(rest_point.with_values({T1: 1 / rest_point.value(T2)}))

@@ -2,7 +2,7 @@
 and its evaluation at K-theoretic, half-weight and cohomological points."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quotloc.chars import (
@@ -24,7 +24,7 @@ from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import twisted_point
 
-from strategies import characters, monomials, nonzero_rationals
+from strategies import VARS, characters, monomials, nonzero_rationals
 
 t1 = Monomial.var(T1)
 t2 = Monomial.var(T2)
@@ -240,6 +240,37 @@ class TestFormMonomial:
         assert form.atoms(p) == ((9, -1, 5), (25, 1, 2))
         assert FactoredForm([(t1, 1), (t2, -1)]).atoms(p) == ((-1, 5), (1, 2))
         assert form.eval_point(p) == rational(-9, 10)
+
+
+forms = st.builds(FactoredForm, characters(allow_trivial=False), monomials(allow_trivial=False))
+
+
+class TestAdams:
+    """The Adams operation ``psi_k`` is an operation on forms: read at a point it
+    gives the form's value at the point's ``k``-th powers, and it is a monoid
+    action by ring maps."""
+
+    @given(forms, st.integers(1, 4), st.lists(nonzero_rationals(), min_size=len(VARS), max_size=len(VARS)))
+    @settings(max_examples=80, deadline=None)
+    def test_value_at_a_point_is_the_value_at_its_powers(self, form, k, values):
+        p = PointAssignment(zip(VARS, values))
+        q = PointAssignment({v: x**k for v, x in zip(VARS, values)})
+        try:
+            lhs, rhs = form.adams(k).eval_point(p), form.eval_point(q)
+        except PoleAtPoint:
+            assume(False)
+        assert lhs == rhs
+
+    @given(forms, st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_monoid_action(self, form, k, l):
+        assert form.adams(1) == form
+        assert form.adams(k).adams(l) == form.adams(k * l)
+
+    @given(forms, forms, st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_multiplicative(self, f, g, k):
+        assert (f * g).adams(k) == f.adams(k) * g.adams(k)
 
 
 class TestHalfWeights:

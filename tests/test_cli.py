@@ -85,6 +85,24 @@ class TestCompute:
         assert dict(fields)["assignment"] == _point_tree(points[1])
         assert dict(fields)["localized"] == dict(fields)["closed-form"]
 
+    def test_report_ignores_the_integer_string_digit_limit(self, capsys):
+        """Order 40 at one slot prints coefficients of 1038 digits: under a digit
+        limit of 640 the report is the one printed with no limit."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no integer-string digit limit")
+        argv = ["compute", "--r1", "1", "--order", "40"]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert main(argv) == EXIT_PASS
+            unlimited = capsys.readouterr().out
+            sys.set_int_max_str_digits(640)
+            assert main(argv) == EXIT_PASS
+            assert capsys.readouterr().out == unlimited
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(len(word) for word in unlimited.replace("/", " ").split()) > 1000
+
     def test_order_zero(self, capsys):
         code, out, _ = run_cli(["compute", "--r1", "0", "--r2", "1", "--order", "0"], capsys)
         assert code == EXIT_PASS

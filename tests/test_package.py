@@ -25,3 +25,12 @@ def test_rational_is_a_module():
     assert r is sys.modules["quotloc.rational"]
     assert r.rational is fractions.Fraction
     assert r.rat_str(r.ZERO) == "0/1"
+
+
+def test_rat_str_prints_a_rational_of_any_size():
+    """A 5000-digit numerator and denominator print whole, past the digit limit
+    that ``str`` of an ``int`` keeps by default."""
+    import quotloc.rational as r
+
+    n, d = 10**4999 + 1, 10**4999 + 3
+    assert r.rat_str(r.rational(-n, d)) == "-1" + "0" * 4998 + "1/1" + "0" * 4998 + "3"

@@ -56,6 +56,17 @@ def test_series_table_rejects_a_negative_order(monkeypatch, capsys):
     assert "order must be nonnegative" in capsys.readouterr().err
 
 
+def test_series_table_refuses_an_order_over_the_size_budget(monkeypatch, capsys):
+    """Order 37 at total rank 4 is C(41, 4) = 101270 fixed points, over the budget
+    ``quotloc verify`` refuses: exit 2 before any row."""
+    monkeypatch.setattr(sys, "argv", ["series_table.py", "--order", "37"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "series_table.py"), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the size budget of 100000 fixed points" in err
+
+
 def passing_suite(seed=1):
     return SuiteReport(checks=2)
 

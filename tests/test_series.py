@@ -266,6 +266,17 @@ class TestSingleBox:
             for n in range(1, 7):
                 assert cy_first_order_closed(ranks, n, rest) == closed_g(ranks, (1 / t2) ** n, t2**n)
 
+    @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=lambda r: f"{r.r1},{r.r2}")
+    def test_adams_is_constant_at_a_linear_point(self, ranks):
+        """At a :class:`~quotloc.points.LinearPoint` the Adams operation ``psi_k``
+        reads each ``1 - t^mu`` of the box as ``-k mu . s``, and the ``k`` cancels
+        over its two numerator and two denominator factors: one value for every
+        ``k``, the constant :func:`zcoh_closed` exponentiates."""
+        box = single_box(ranks.framing())
+        for seed in (1, 2, 3):
+            point = seeded_point(coh_variables(ranks), seed).linearized()
+            assert len({box.adams(k).eval_point(point) for k in range(1, 7)}) == 1
+
     def test_slot_shifts_telescope_to_the_framing_factor(self):
         """``1 - t1^r1 t2^r2 = sum_a shift_a (1 - t_i)`` over the slots ``(i, a)``
         and their :func:`~quotloc.limits.slot_shifts`, as characters, for every
