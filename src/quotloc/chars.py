@@ -127,14 +127,21 @@ class Monomial:
         return not self._exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        """The product; when every variable of one side sorts before every variable of
+        the other (a ``t``-part times a ``w``-part), the sorted exponents concatenate."""
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not other._exps:
+        a, b = self._exps, other._exps
+        if not b:
             return self
-        if not self._exps:
+        if not a:
             return other
-        merged = dict(self._exps)
-        for v, e in other._exps:
+        if a[-1][0] < b[0][0]:
+            return Monomial._canonical(a + b)
+        if b[-1][0] < a[0][0]:
+            return Monomial._canonical(b + a)
+        merged = dict(a)
+        for v, e in b:
             merged[v] = merged.get(v, 0) + e
         return Monomial(merged)
 

@@ -13,7 +13,8 @@ localization is the strongest end-to-end check in the package, since the
 fixed-point combinatorics on the two sides are completely different.
 
 :func:`oracle_forms` is a block table over Young diagrams, built like a line
-table; its blocks share the per-process cache of :func:`pair_tangent`.
+table; each block is a slot-free :func:`pair_template`, cached per process
+beside :func:`pair_tangent` and :func:`diagram_char`, shifted by its slots.
 """
 
 from __future__ import annotations
@@ -139,26 +140,40 @@ def pair_tangent(lam_a: tuple, lam_b: tuple) -> Character:
     return z_b + ENVELOPE * (z_b * diagram_char(lam_a).bar())
 
 
+@functools.cache
+def pair_template(i: int, lam_a: tuple, lam_b: tuple) -> Character:
+    """``G = t_i bar(Z_b) - bar(P)``, pure ``t``: the block of slots ``a`` on line ``i`` and
+    ``b`` is ``FactoredForm(G w^-1)``, ``w = w_a^-1 w_b`` (see :func:`oracle_forms`)."""
+    return diagram_char(lam_b).bar() * Monomial.var(t_var(i)) - pair_tangent(lam_a, lam_b).bar()
+
+
 def oracle_forms(ranks: Ranks, order: int) -> BlockTable:
     """The oracle weights as a block table over Young diagrams; its sum must
     agree coefficientwise with the intersecting-lines localization.
 
-    Only a diagonal block is ever ``None``.  Block ``(a, b)``'s insertion has the
-    weights ``t_i^-1 w t1^x t2^y``, ``w = w_a^-1 w_b``, one per box ``(x, y)`` of
-    ``lam_b``.  Off the diagonal ``w != 1``, so none is trivial; on it ``w = 1``, and
-    ``(a, a, lam, lam)`` is ``None`` exactly when ``lam`` holds the box ``t_i``.  So
-    the table's :attr:`~BlockTable.tree`, reading diagonals first, builds no cross
-    block of a killed tuple, and its leaves of degree ``n`` are the ``C(n + r - 1, r - 1)``
-    tuples of a column per line-1 slot and a row per line-2 slot."""
+    Block ``(a, b, lam_a, lam_b)`` is the pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``,
+    ``i`` the line of slot ``a``, ``w = w_a^-1 w_b`` and ``P`` the :func:`pair_tangent`, or ``None``
+    when the insertion is the zero class.  It is built as ``FactoredForm(G w^-1)`` from the
+    :func:`pair_template` ``G``, and the two are equal: ``k_euler(X) = FactoredForm(bar X)`` for an
+    ``X`` with no trivial weight, ``bar`` is a ring map, so the factors are
+    ``FactoredForm(t_i bar(Z_b) w^-1)`` and ``FactoredForm(-bar(P) w^-1)``, and a ``FactoredForm``
+    product adds characters.  Off the diagonal ``w != 1`` and ``G`` is pure ``t``, so no term of
+    ``G w^-1``, ``t_i^-1 w Z_b`` or ``w P`` is trivial.  On it ``w = 1``, and the tree reads only
+    ``lam_a == lam_b``: ``P(lam, lam)`` is the Hilbert-scheme tangent at ``lam``, with no trivial
+    weight, so ``G`` has the trivial coefficient of ``t_i bar(Z_b)``, 1 exactly when ``lam`` holds
+    the box ``t_i`` and the insertion is the zero class, else 0.  A block is defined only on the
+    keys the tree reads; off them the pair factor can divide by ``1 - 1``.
+
+    So only a diagonal block is ever ``None``, the table's :attr:`~BlockTable.tree`, reading
+    diagonals first, builds no cross block of a killed tuple, and its leaves of degree ``n`` are
+    the ``C(n + r - 1, r - 1)`` tuples of a column per line-1 slot and a row per line-2 slot."""
     slots = ranks.slots()
 
     def block(a, b, lam_a, lam_b):
-        """The pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``, ``i`` the line
-        of slot ``a``; ``None`` when the insertion is the zero class."""
-        (i, alpha), (j, beta) = slots[a], slots[b]
-        w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
-        insertion = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
-        return None if insertion is None else insertion * k_euler(-(pair_tangent(lam_a, lam_b) * w))
+        g = pair_template(slots[a][0], lam_a, lam_b)
+        if a == b:
+            return None if g.trivial_coefficient() else FactoredForm(g)
+        return FactoredForm(g * (Monomial.var(w_var(*slots[a])) * Monomial.var(w_var(*slots[b]), -1)))
 
     return BlockTable(len(slots), order, partitions, block)
 
@@ -176,9 +191,13 @@ def block_invariants(key) -> tuple:
 def plane_invariants(table: BlockTable):
     """Yield ``(diagrams, size, (rank T, trivial coefficient of T, rank I))`` for every diagram
     tuple of an :func:`oracle_forms` table's slots, order and states, the zero class included,
-    in :meth:`~BlockTable.fold` order: :func:`block_invariants` summed over its slot pairs."""
-    pairs = [(a, b) for a in range(table.slots) for b in range(table.slots)]
+    in :meth:`~BlockTable.fold` order: :func:`block_invariants` summed over its slot pairs, called
+    once per distinct key of the scan."""
+    pairs, seen = [(a, b) for a in range(table.slots) for b in range(table.slots)], {}
     for n in range(table.order + 1):
         for lams in slot_states(table.slots, n, table.states):
-            blocks = [block_invariants((a, b, lams[a], lams[b])) for a, b in pairs]
-            yield lams, n, tuple(map(sum, zip(*blocks)))
+            keys = [(a, b, lams[a], lams[b]) for a, b in pairs]
+            for key in keys:
+                if key not in seen:
+                    seen[key] = block_invariants(key)
+            yield lams, n, tuple(map(sum, zip(*map(seen.__getitem__, keys))))

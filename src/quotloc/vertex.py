@@ -188,20 +188,23 @@ def vertex_block(slot_a: tuple, slot_b: tuple, m_a: int, m_b: int) -> Character:
     where ``ihat = 3 - i``: ``bar(Z_(i,a)) = sum_(k < m_a) t_ihat^-k``, so
     ``(1 - t_ihat^-1) bar(Z_(i,a)) = 1 - t_ihat^-m_a``.  For ``i != j`` the block
     is the prefix times ``t_i^(m_b - 1) - t_i^-1``; for ``i == j`` it has ``2 m_b``
-    distinct terms.  Each monomial is written from its exponents, with no
-    character product.  Summing the blocks of all slot pairs of a fixed point
-    reproduces :func:`vertex_term`.
+    distinct terms.  Each monomial is written from its exponents as a sorted tuple,
+    its ``t``-part followed by its ``w``-part, with no character or monomial
+    product.  Summing the blocks of all slot pairs of a fixed point reproduces
+    :func:`vertex_term`.
     """
     (i, alpha), (j, beta) = slot_a, slot_b
     t_i, t_ihat, shift = t_var(i), t_var(3 - i), -m_a
-    w = {} if slot_a == slot_b else {w_var(i, alpha): -1, w_var(j, beta): 1}
+    w = () if slot_a == slot_b else tuple(sorted([(w_var(i, alpha), -1), (w_var(j, beta), 1)]))
     terms = []
     if i == j:
         for k in range(shift, shift + m_b):
-            terms += [({t_ihat: k}, 1), ({t_ihat: k, t_i: -1}, -1)]
+            terms += [([(t_ihat, k)], 1), ([(t_ihat, k), (t_i, -1)], -1)]
     elif m_b:
-        terms = [({t_ihat: shift, t_i: m_b - 1}, 1), ({t_ihat: shift, t_i: -1}, -1)]
-    return Character((Monomial({**w, **e}), c) for e, c in terms)
+        terms = [([(t_ihat, shift), (t_i, m_b - 1)], 1), ([(t_ihat, shift), (t_i, -1)], -1)]
+    return Character(
+        (Monomial._canonical(tuple(sorted([(v, e) for v, e in t if e])) + w), c) for t, c in terms
+    )
 
 
 def vertex_blocks_sum(bn: FixedPoint) -> Character:

@@ -2,15 +2,17 @@
 
 from hypothesis import strategies as st
 
-from quotloc.chars import Character, Monomial, T1, T2, w_var
+from quotloc.chars import Character, Monomial, T1, T2, U1, U2, w_var
 from quotloc.rational import rational
 
 VARS = (T1, T2, w_var(1, 1), w_var(1, 2), w_var(2, 1))
+# every kind of variable, in sort order: t < u < w, and w by slot
+SORTED_VARS = (T1, T2, U1, U2, w_var(1, 1), w_var(1, 2), w_var(2, 1), w_var(2, 3))
 
 
-def monomials(min_exp=-4, max_exp=4, allow_trivial=True):
+def monomials(min_exp=-4, max_exp=4, allow_trivial=True, variables=VARS):
     base = st.dictionaries(
-        st.sampled_from(VARS), st.integers(min_exp, max_exp), max_size=len(VARS)
+        st.sampled_from(variables), st.integers(min_exp, max_exp), max_size=len(variables)
     ).map(Monomial)
     if allow_trivial:
         return base

@@ -24,7 +24,7 @@ from quotloc.points import PointAssignment, seeded_point
 from quotloc.rational import rational
 from quotloc.series import twisted_point
 
-from strategies import VARS, characters, monomials, nonzero_rationals
+from strategies import SORTED_VARS, VARS, characters, monomials, nonzero_rationals
 
 t1 = Monomial.var(T1)
 t2 = Monomial.var(T2)
@@ -79,6 +79,34 @@ class TestMonomial:
     @given(monomials())
     def test_hash_consistent(self, m):
         assert hash(m) == hash(Monomial(dict(m.exponents())))
+
+
+class TestMonomialProduct:
+    """``a * b`` and ``b * a`` equal the dict-merge reference, whether the exponent tuples
+    concatenate (every variable of one side before every variable of the other) or merge."""
+
+    @staticmethod
+    def check(a, b):
+        want = Monomial(list(a.exponents()) + list(b.exponents()))
+        for got in (a * b, b * a):
+            assert got == want and hash(got) == hash(want)
+            variables = [v for v, _ in got.exponents()]
+            assert variables == sorted(set(variables))
+            assert all(e for _, e in got.exponents())
+
+    @settings(max_examples=60)
+    @given(st.integers(0, len(SORTED_VARS)), st.data())
+    def test_one_side_before_the_other(self, cut, data):
+        """A cut at either end leaves one side trivial."""
+        over = lambda vs: monomials(variables=vs) if vs else st.just(Monomial.one())
+        self.check(data.draw(over(SORTED_VARS[:cut])), data.draw(over(SORTED_VARS[cut:])))
+
+    @settings(max_examples=60)
+    @given(monomials(variables=SORTED_VARS), monomials(variables=SORTED_VARS))
+    def test_interleaved_and_cancelling(self, a, b):
+        self.check(a, b)
+        self.check(a, a.inverse())
+        self.check(a * b, a.inverse())
 
 
 class TestBar:

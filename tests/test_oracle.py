@@ -5,13 +5,14 @@ from math import comb
 
 import pytest
 
-from quotloc.chars import Character, Monomial, T1, T2, k_euler, w_var
+from quotloc.chars import Character, Monomial, T1, T2, k_euler, t_var, w_var
 from quotloc.oracle import (
     PartitionTuple,
     diagram_char,
     oracle_contribution,
     oracle_forms,
     pair_tangent,
+    pair_template,
     partition_tuples,
     partitions,
     plane_invariants,
@@ -220,6 +221,7 @@ class TestOracleEquality:
         order-4 table has 46 pairs, 38 with sizes summing to at most 4 and 8 diagonal
         ones ``(lam, lam)`` of size 3 or 4.  Each diagram's box character is built once."""
         pair_tangent.cache_clear()
+        pair_template.cache_clear()
         diagram_char.cache_clear()
         misses, diagrams = [], set()
         for ranks in (Ranks(2, 1), Ranks(1, 2)):
@@ -228,6 +230,41 @@ class TestOracleEquality:
             misses.append(pair_tangent.cache_info().misses)
         assert misses == [46, 46]
         assert diagram_char.cache_info().misses == len(diagrams) == 12
+
+    def test_pair_template_is_built_once_per_process(self):
+        """A block is its slot-free template ``(line of a, lam_a, lam_b)`` shifted by its slots:
+        a table builds each template it reads once, and after a (2,2) table the tables of
+        smaller ranks at the same order build none."""
+        pair_template.cache_clear()
+        table, slots = oracle_forms(Ranks(2, 2), 4), Ranks(2, 2).slots()
+        assert table.tree[0]
+        misses = pair_template.cache_info().misses
+        assert misses == len({(slots[a][0], la, lb) for a, _, la, lb in table.weights}) < len(table.weights)
+        for ranks in (Ranks(2, 1), Ranks(1, 2), Ranks(1, 1)):
+            assert oracle_forms(ranks, 4).tree[0]
+            assert pair_template.cache_info().misses == misses
+
+    @pytest.mark.parametrize("ranks", ranks_up_to(3), ids=str)
+    def test_weights_equal_the_pair_factor(self, ranks):
+        """On every key a tree can read with diagrams of size <= 4 (on the diagonal only
+        ``lam_a == lam_b``) the weight is the pair factor ``k_euler(t_i^-1 w Z_b) k_euler(-w P)``,
+        ``None`` where it is; off those keys the pair factor can divide by ``1 - 1``."""
+        slots, table = ranks.slots(), oracle_forms(ranks, 4)
+        diagrams = [lam for n in range(5) for lam in partitions(n)]
+        keys = [(a, a, lam, lam) for a in range(len(slots)) for lam in diagrams]
+        keys += [
+            (a, b, la, lb) for a in range(len(slots)) for b in range(len(slots)) if a != b
+            for la in diagrams for lb in diagrams
+        ]
+        nones = 0
+        for a, b, lam_a, lam_b in keys:
+            (i, alpha), (j, beta) = slots[a], slots[b]
+            w = Monomial.var(w_var(i, alpha), -1) * Monomial.var(w_var(j, beta))
+            ins = k_euler(diagram_char(lam_b) * (w * Monomial.var(t_var(i), -1)))
+            want = None if ins is None else ins * k_euler(-(pair_tangent(lam_a, lam_b) * w))
+            assert table.block(a, b, lam_a, lam_b) == want
+            nones += want is None
+        assert nones == 7 * len(slots)  # the diagrams of size <= 4 holding the box t_i
 
     @pytest.mark.parametrize(
         "r1,r2", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]

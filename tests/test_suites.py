@@ -204,10 +204,12 @@ def test_oracle_reports_a_wrong_insertion_rank(monkeypatch):
 
     monkeypatch.setattr(oracle, "diagram_char", dropped)
     oracle.pair_tangent.cache_clear()
+    oracle.pair_template.cache_clear()
     try:
         report = suite_oracle(ranks_list=(Ranks(1, 0),), order=2, num_points=1)
     finally:
         oracle.pair_tangent.cache_clear()
+        oracle.pair_template.cache_clear()
     assert "tautological character at ([2]) has rank 1 != 2" in report.failures
 
 
@@ -234,8 +236,9 @@ def test_no_twist_reports_wrong_det(monkeypatch):
         lambda n: suite_no_twist(det_ranks=(), order=3, num_points=n),
         lambda n: suite_cohomological(order=3, num_points=n),
         lambda n: suite_factorization(order=3, num_points=n),
+        lambda n: suite_oracle(order=3, num_points=n),
     ],
-    ids=["no-twist", "cohomological", "factorization"],
+    ids=["no-twist", "cohomological", "factorization", "oracle"],
 )
 def test_tables_are_built_once_per_rank_pair(monkeypatch, suite):
     """More evaluation points build no more blocks: each localized table is
